@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, GraphError, ShapeMismatch
-from .graph import Graph, ParamKey, VertexId, check_params, param_keys, topological_sort
+from .graph import Graph, ParamKey, VertexId, check_params
 from .numerics import Array, as_f64, fsum_arrays
 
 
@@ -49,6 +49,40 @@ class BPReport:
     loss: float
 
 
+# -- vertex kernels -------------------------------------------------------
+
+def evaluate(g: Graph, vid: VertexId, values: Mapping[VertexId, Array]) -> Array:
+    """Apply vertex ``vid``'s function to its children's ``values``."""
+    v = g.vertices[vid]
+    try:
+        return v.fn([values[c] for c in v.children])
+    except DomainError as err:
+        raise err.at_vertex(vid) from None
+
+
+def pull_back(g: Graph, vid: VertexId, values: Mapping[VertexId, Array],
+              upstream: Array) -> tuple[Array, ...]:
+    """Pull ``upstream`` back through vertex ``vid``: one array per child slot.
+
+    Every sweep calls this once per parent and reads the results through
+    :func:`arriving`.
+    """
+    v = g.vertices[vid]
+    try:
+        return v.fn.vjp([values[c] for c in v.children], upstream)
+    except DomainError as err:
+        raise err.at_vertex(vid) from None
+
+
+def arriving(g: Graph, vid: VertexId,
+             pulls: Mapping[VertexId, tuple[Array, ...]]) -> list[Array]:
+    """The pulls of ``vid``'s parents onto ``vid``, in (parent, slot) order.
+
+    ``pulls`` maps each parent to its :func:`pull_back` result.
+    """
+    return [pulls[p][slot] for p, slot in g.parents[vid]]
+
+
 def forward(g: Graph, params: Mapping[VertexId, Array],
             overrides: Mapping[VertexId, Array] | None = None) -> ForwardTrace:
     """Evaluate every vertex bottom-up.
@@ -59,19 +93,13 @@ def forward(g: Graph, params: Mapping[VertexId, Array],
     """
     check_params(g, params)
     mu: dict[VertexId, Array] = {}
-    for vid in reversed(topological_sort(g)):
-        v = g.vertices[vid]
+    for vid in reversed(g.order):
         if overrides is not None and vid in overrides:
             mu[vid] = as_f64(overrides[vid])
-            continue
-        if v.is_leaf:
+        elif g.vertices[vid].is_leaf:
             mu[vid] = as_f64(params[vid])
-            continue
-        ins = [mu[c] for c in v.children]
-        try:
-            mu[vid] = v.fn(ins)
-        except DomainError as err:
-            raise err.at_vertex(vid) from None
+        else:
+            mu[vid] = evaluate(g, vid, mu)
     return ForwardTrace(mu=mu)
 
 
@@ -98,23 +126,14 @@ def backprop(g: Graph, params: Mapping[VertexId, Array], y: float,
     trace = forward(g, params)
     mu_out = _require_scalar_output(g, trace)
     delta: dict[VertexId, Array] = {}
-    contribs: dict[VertexId, list[tuple[tuple[int, int], Array]]] = \
-        {v.id: [] for v in g.vertices}
-    for vid in topological_sort(g):
-        v = g.vertices[vid]
+    pulls: dict[VertexId, tuple[Array, ...]] = {}
+    for vid in g.order:
         if vid == g.output:
             delta[vid] = mu_out - float(y)
         else:
-            parts = [c for _key, c in sorted(contribs[vid], key=lambda kv: kv[0])]
-            delta[vid] = fsum_arrays(parts)
-        if not v.is_leaf and v.fn.arity > 0:
-            ins = [trace.mu[c] for c in v.children]
-            try:
-                pulls = v.fn.vjp(ins, delta[vid])
-            except DomainError as err:
-                raise err.at_vertex(vid) from None
-            for slot, (c, pull) in enumerate(zip(v.children, pulls)):
-                contribs[c].append(((vid, slot), pull))
+            delta[vid] = fsum_arrays(arriving(g, vid, pulls))
+        if g.vertices[vid].children:
+            pulls[vid] = pull_back(g, vid, trace.mu, delta[vid])
     per_leaf = {v: -lr * delta[v] for v in g.trainable_leaves()}
     updates = collect_updates(g, per_leaf)
     return BPReport(delta=delta, updates=updates, per_leaf=per_leaf,
@@ -128,11 +147,11 @@ def collect_updates(g: Graph, per_leaf: Mapping[VertexId, Array]) -> dict[ParamK
     members' deltas.
     """
     out: dict[ParamKey, Array] = {}
-    for key in param_keys(g):
+    for key in g.param_keys:
         kind, ident = key
         if kind == "group":
-            grp = next(t for t in g.tie_groups if t.group_id == ident)
-            out[key] = fsum_arrays([per_leaf[m] for m in sorted(grp.members)])
+            members = sorted(g.group_by_id[ident].members)
+            out[key] = fsum_arrays([per_leaf[m] for m in members])
         else:
             out[key] = as_f64(per_leaf[ident]).copy()
     return out
@@ -164,11 +183,10 @@ def gradient_rows(g: Graph, params: Mapping[VertexId, Array], y: float,
         raise GraphError("finite-difference step must be positive")
     rep = backprop(g, params, y, lr=1.0)
     rows: list[dict] = []
-    for key in param_keys(g):
+    for key in g.param_keys:
         kind, ident = key
         if kind == "group":
-            grp = next(t for t in g.tie_groups if t.group_id == ident)
-            leaves = tuple(sorted(grp.members))
+            leaves = tuple(sorted(g.group_by_id[ident].members))
         else:
             leaves = (ident,)
         analytic_arr = -rep.updates[key]  # dE/dtheta

@@ -13,9 +13,11 @@ elementwise kinds require identical input shapes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import reduce
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,16 +40,14 @@ class FnKind(str, Enum):
 
 ACTIVATION_NAMES = ("identity", "tanh", "logistic")
 
-_UNARY = {FnKind.SQUARE, FnKind.SQRT, FnKind.ACTIVATION, FnKind.IDENTITY,
-          FnKind.SUM_REDUCE}
-
 
 @dataclass(frozen=True)
 class ElemFn:
     """One elementary function: a kind, its arity, and optional metadata.
 
     ``name`` selects the activation nonlinearity; ``value`` is the
-    payload of a constant vertex.
+    payload of a constant vertex.  What the kind computes is its row in
+    :data:`KINDS`.
     """
 
     kind: FnKind
@@ -56,106 +56,26 @@ class ElemFn:
     value: float | None = None
 
     def __post_init__(self):
-        if self.kind is FnKind.CONSTANT:
-            if self.arity != 0 or self.value is None:
-                raise ValueError("constant needs arity 0 and a value")
-        elif self.arity < 1:
-            raise ValueError(f"{self.kind.value} needs arity >= 1")
-        if self.kind in _UNARY and self.arity != 1:
-            raise ValueError(f"{self.kind.value} has arity 1")
-        if self.kind in (FnKind.MATVEC, FnKind.CONVOLVE1D) and self.arity != 2:
-            raise ValueError(f"{self.kind.value} has arity 2")
-        if self.kind in (FnKind.ADD, FnKind.MULTIPLY) and self.arity < 2:
+        arity = KINDS[self.kind].arity
+        if arity is None and self.arity < 2:
             raise ValueError(f"{self.kind.value} needs arity >= 2")
+        if arity is not None and self.arity != arity:
+            raise ValueError(f"{self.kind.value} has arity {arity}")
+        if self.kind is FnKind.CONSTANT and self.value is None:
+            raise ValueError("constant needs a value")
         if self.kind is FnKind.ACTIVATION and self.name not in ACTIVATION_NAMES:
             raise ValueError(f"unknown activation {self.name!r}")
 
-    # -- forward ---------------------------------------------------------
-
     def __call__(self, inputs: Sequence[Array]) -> Array:
         """Evaluate the function on its inputs (one array per child slot)."""
-        ins = self._checked(inputs)
-        k = self.kind
-        if k is FnKind.CONSTANT:
-            return as_f64(self.value)
-        if k is FnKind.ADD:
-            out = ins[0].copy()
-            for v in ins[1:]:
-                out = out + v
-            return out
-        if k is FnKind.MULTIPLY:
-            out = ins[0].copy()
-            for v in ins[1:]:
-                out = out * v
-            return out
-        if k is FnKind.MATVEC:
-            w, x = ins
-            return w @ x
-        if k is FnKind.SQUARE:
-            return ins[0] * ins[0]
-        if k is FnKind.SQRT:
-            x = ins[0]
-            if np.any(x < 0):
-                raise DomainError(float(np.min(x)))
-            return np.sqrt(x)
-        if k is FnKind.ACTIVATION:
-            return _activations[self.name](ins[0])
-        if k is FnKind.CONVOLVE1D:
-            kern, x = ins
-            return np.correlate(x, kern, mode="valid")
-        if k is FnKind.IDENTITY:
-            return ins[0].copy()
-        if k is FnKind.SUM_REDUCE:
-            return as_f64(math.fsum(ins[0].ravel().tolist()))
-        raise AssertionError(k)
-
-    # -- reverse ---------------------------------------------------------
+        return KINDS[self.kind].forward(self, self._checked(inputs))
 
     def vjp(self, inputs: Sequence[Array], upstream: Array) -> tuple[Array, ...]:
         """Pull ``upstream`` (cotangent of the output) back to each input slot.
 
         Returns one array per child slot, shaped like that input.
         """
-        ins = self._checked(inputs)
-        u = as_f64(upstream)
-        k = self.kind
-        if k is FnKind.CONSTANT:
-            return ()
-        if k is FnKind.ADD:
-            return tuple(u.copy() for _ in ins)
-        if k is FnKind.MULTIPLY:
-            outs = []
-            for s in range(len(ins)):
-                part = u.copy()
-                for r, v in enumerate(ins):
-                    if r != s:
-                        part = part * v
-                outs.append(part)
-            return tuple(outs)
-        if k is FnKind.MATVEC:
-            w, x = ins
-            return (np.outer(u, x), w.T @ u)
-        if k is FnKind.SQUARE:
-            return (2.0 * ins[0] * u,)
-        if k is FnKind.SQRT:
-            x = ins[0]
-            if np.any(x <= 0):
-                raise DomainError(float(np.min(x)))
-            return (u / (2.0 * np.sqrt(x)),)
-        if k is FnKind.ACTIVATION:
-            return (_activation_derivs[self.name](ins[0]) * u,)
-        if k is FnKind.CONVOLVE1D:
-            kern, x = ins
-            grad_k = np.correlate(x, u, mode="valid")
-            grad_x = np.convolve(u, kern, mode="full")
-            return (grad_k, grad_x)
-        if k is FnKind.IDENTITY:
-            return (u.copy(),)
-        if k is FnKind.SUM_REDUCE:
-            return (np.full_like(ins[0], float(u)),)
-        raise AssertionError(k)
-
-    # -- validation ------------------------------------------------------
+        return KINDS[self.kind].vjp(self, self._checked(inputs), as_f64(upstream))
 
     def _checked(self, inputs: Sequence[Array]) -> tuple[Array, ...]:
         if len(inputs) != self.arity:
@@ -163,25 +83,64 @@ class ElemFn:
                 f"{self.kind.value} expects {self.arity} inputs, got {len(inputs)}"
             )
         ins = tuple(as_f64(v) for v in inputs)
-        k = self.kind
-        if k in (FnKind.ADD, FnKind.MULTIPLY):
-            shapes = {v.shape for v in ins}
-            if len(shapes) > 1:
-                raise ShapeMismatch(f"{k.value} inputs differ in shape: {shapes}")
-        elif k is FnKind.MATVEC:
-            w, x = ins
-            if w.ndim != 2 or x.ndim != 1 or w.shape[1] != x.shape[0]:
-                raise ShapeMismatch(
-                    f"matvec needs (m,n) @ (n,), got {w.shape} and {x.shape}"
-                )
-        elif k is FnKind.CONVOLVE1D:
-            kern, x = ins
-            if kern.ndim != 1 or x.ndim != 1 or x.shape[0] < kern.shape[0]:
-                raise ShapeMismatch(
-                    f"convolve1d needs 1-d kernel no longer than the signal, "
-                    f"got {kern.shape} and {x.shape}"
-                )
+        check = KINDS[self.kind].check
+        if check is not None:
+            check(self, ins)
         return ins
+
+
+# -- per-kind rows -------------------------------------------------------
+
+class KindRule(NamedTuple):
+    """What one kind computes.
+
+    ``arity`` is the fixed input count, or None for a variadic kind
+    (at least two inputs).  ``forward(fn, ins)`` and
+    ``vjp(fn, ins, upstream)`` receive coerced inputs; ``check(fn, ins)``
+    rejects input shapes the kind cannot take.
+    """
+
+    arity: int | None
+    forward: Callable[[ElemFn, tuple[Array, ...]], Array]
+    vjp: Callable[[ElemFn, tuple[Array, ...], Array], tuple[Array, ...]]
+    check: Callable[[ElemFn, tuple[Array, ...]], None] | None = None
+
+
+def _sqrt(fn, ins):
+    x = ins[0]
+    if np.any(x < 0):
+        raise DomainError(float(np.min(x)))
+    return np.sqrt(x)
+
+
+def _sqrt_vjp(fn, ins, u):
+    x = ins[0]
+    if np.any(x <= 0):
+        raise DomainError(float(np.min(x)))
+    return (u / (2.0 * np.sqrt(x)),)
+
+
+def _same_shapes(fn, ins):
+    shapes = {v.shape for v in ins}
+    if len(shapes) > 1:
+        raise ShapeMismatch(f"{fn.kind.value} inputs differ in shape: {shapes}")
+
+
+def _matvec_shapes(fn, ins):
+    w, x = ins
+    if w.ndim != 2 or x.ndim != 1 or w.shape[1] != x.shape[0]:
+        raise ShapeMismatch(
+            f"matvec needs (m,n) @ (n,), got {w.shape} and {x.shape}"
+        )
+
+
+def _convolve1d_shapes(fn, ins):
+    kern, x = ins
+    if kern.ndim != 1 or x.ndim != 1 or x.shape[0] < kern.shape[0]:
+        raise ShapeMismatch(
+            f"convolve1d needs 1-d kernel no longer than the signal, "
+            f"got {kern.shape} and {x.shape}"
+        )
 
 
 def _logistic(x: Array) -> Array:
@@ -199,6 +158,40 @@ _activation_derivs = {
     "identity": np.ones_like,
     "tanh": lambda x: 1.0 - np.tanh(x) ** 2,
     "logistic": lambda x: _logistic(x) * (1.0 - _logistic(x)),
+}
+
+KINDS: dict[FnKind, KindRule] = {
+    FnKind.CONSTANT: KindRule(
+        0, lambda fn, ins: as_f64(fn.value), lambda fn, ins, u: ()),
+    FnKind.ADD: KindRule(
+        None, lambda fn, ins: reduce(operator.add, ins),
+        lambda fn, ins, u: tuple(u.copy() for _ in ins), _same_shapes),
+    FnKind.MULTIPLY: KindRule(
+        None, lambda fn, ins: reduce(operator.mul, ins),
+        # each slot's pull is upstream times every other input
+        lambda fn, ins, u: tuple(reduce(operator.mul, ins[:s] + ins[s + 1:], u)
+                                 for s in range(len(ins))),
+        _same_shapes),
+    FnKind.MATVEC: KindRule(
+        2, lambda fn, ins: ins[0] @ ins[1],
+        lambda fn, ins, u: (np.outer(u, ins[1]), ins[0].T @ u), _matvec_shapes),
+    FnKind.SQUARE: KindRule(
+        1, lambda fn, ins: ins[0] * ins[0], lambda fn, ins, u: (2.0 * ins[0] * u,)),
+    FnKind.SQRT: KindRule(1, _sqrt, _sqrt_vjp),
+    FnKind.ACTIVATION: KindRule(
+        1, lambda fn, ins: _activations[fn.name](ins[0]),
+        lambda fn, ins, u: (_activation_derivs[fn.name](ins[0]) * u,)),
+    # ins = (kernel, signal)
+    FnKind.CONVOLVE1D: KindRule(
+        2, lambda fn, ins: np.correlate(ins[1], ins[0], mode="valid"),
+        lambda fn, ins, u: (np.correlate(ins[1], u, mode="valid"),
+                            np.convolve(u, ins[0], mode="full")),
+        _convolve1d_shapes),
+    FnKind.IDENTITY: KindRule(
+        1, lambda fn, ins: ins[0].copy(), lambda fn, ins, u: (u.copy(),)),
+    FnKind.SUM_REDUCE: KindRule(
+        1, lambda fn, ins: as_f64(math.fsum(ins[0].ravel().tolist())),
+        lambda fn, ins, u: (np.full_like(ins[0], float(u)),)),
 }
 
 

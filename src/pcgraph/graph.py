@@ -80,7 +80,10 @@ class Graph:
     """Validated, immutable computational graph.
 
     Construct through :class:`GraphBuilder` or :func:`build_graph`;
-    direct construction validates too.
+    direct construction validates too.  Construction also computes the
+    graph's plan once: ``order`` (see :func:`topological_sort`),
+    ``internal_ids`` (non-leaf ids, ascending), ``param_keys`` (see
+    :func:`param_keys`) and ``group_by_id``.
     """
 
     def __init__(self, vertices: Sequence[Vertex], output: VertexId,
@@ -95,7 +98,16 @@ class Graph:
             v.id for v in self.vertices if v.is_leaf)
         self.group_of: dict[VertexId, TieGroup] = {
             m: grp for grp in self.tie_groups for m in grp.members}
+        self.group_by_id: dict[str, TieGroup] = {
+            grp.group_id: grp for grp in self.tie_groups}
         self._validate_graph()
+        self.order: tuple[VertexId, ...] = self._topological_order()
+        self.internal_ids: tuple[VertexId, ...] = tuple(
+            v.id for v in self.vertices if not v.is_leaf)
+        self.param_keys: tuple[ParamKey, ...] = (
+            *(("group", grp.group_id) for grp in self.tie_groups),
+            *(("leaf", v) for v in self.leaves
+              if self.vertices[v].trainable and v not in self.group_of))
 
     # -- accessors -------------------------------------------------------
 
@@ -104,11 +116,6 @@ class Graph:
 
     def vertex(self, vid: VertexId) -> Vertex:
         return self.vertices[vid]
-
-    @property
-    def internal_ids(self) -> tuple[VertexId, ...]:
-        """Ids of non-leaf vertices, ascending."""
-        return tuple(v.id for v in self.vertices if not v.is_leaf)
 
     def trainable_leaves(self) -> tuple[VertexId, ...]:
         return tuple(v for v in self.leaves if self.vertices[v].trainable)
@@ -142,6 +149,19 @@ class Graph:
                 acc[c].append((v.id, slot))
         return tuple(tuple(sorted(p)) for p in acc)
 
+    def _topological_order(self) -> tuple[VertexId, ...]:
+        pending = [len(p) for p in self.parents]
+        heap = [self.output]
+        order: list[VertexId] = []
+        while heap:
+            v = heapq.heappop(heap)
+            order.append(v)
+            for c in self.vertices[v].children:
+                pending[c] -= 1
+                if pending[c] == 0:
+                    heapq.heappush(heap, c)
+        return tuple(order)
+
     def _validate_graph(self) -> None:
         self._check_acyclic()
         if self.parents[self.output]:
@@ -157,6 +177,8 @@ class Graph:
         missing = set(range(len(self.vertices))) - reachable
         if missing:
             raise UnreachableVertex(missing)
+        if len(self.group_by_id) != len(self.tie_groups):
+            raise BadTieGroup("tie group ids must be distinct")
         seen: set[VertexId] = set()
         for grp in self.tie_groups:
             if not grp.members:
@@ -214,17 +236,7 @@ def topological_sort(g: Graph) -> tuple[VertexId, ...]:
 
     Deterministic: among ready vertices the smallest id is emitted first.
     """
-    pending = [len(p) for p in g.parents]
-    heap = [g.output]
-    order: list[VertexId] = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for c in g.vertices[v].children:
-            pending[c] -= 1
-            if pending[c] == 0:
-                heapq.heappush(heap, c)
-    return tuple(order)
+    return g.order
 
 
 def min_distances(g: Graph) -> dict[VertexId, int]:
@@ -248,7 +260,7 @@ def path_length_sets(g: Graph) -> dict[VertexId, frozenset[int]]:
     by one.
     """
     sets: dict[VertexId, set[int]] = {g.output: {0}}
-    for v in topological_sort(g):
+    for v in g.order:
         if v == g.output:
             continue
         acc: set[int] = set()
@@ -276,11 +288,7 @@ def level_structure(g: Graph) -> LevelStructure:
 def param_keys(g: Graph) -> tuple[ParamKey, ...]:
     """Canonical parameter order: tie groups (declaration order), then
     free trainable leaves (ascending id)."""
-    keys: list[ParamKey] = [("group", grp.group_id) for grp in g.tie_groups]
-    tied = set(g.group_of)
-    keys.extend(("leaf", v) for v in g.leaves
-                if g.vertices[v].trainable and v not in tied)
-    return tuple(keys)
+    return g.param_keys
 
 
 def check_params(g: Graph, params: Mapping[VertexId, Array]) -> None:
@@ -357,41 +365,39 @@ def build_graph(description: Mapping) -> Graph:
     try:
         records = list(description["vertices"])
         output = int(description["output"])
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed graph description: {exc}") from exc
-    by_id: dict[int, Mapping] = {}
-    for rec in records:
-        vid = int(rec["id"])
-        if vid in by_id:
-            raise GraphError(f"duplicate vertex id {vid}")
-        by_id[vid] = rec
-    if set(by_id) != set(range(len(by_id))):
-        raise GraphError("vertex ids must be dense 0..n-1")
-    vertices = []
-    for vid in range(len(by_id)):
-        rec = by_id[vid]
-        if rec.get("leaf"):
-            vertices.append(Vertex(
-                vid, None, (), True,
-                rec.get("tie_group"), bool(rec.get("trainable", True)),
-                rec.get("name")))
-            continue
-        kind = FnKind(rec["kind"])
-        children = tuple(int(c) for c in rec.get("children", ()))
-        if kind is FnKind.CONSTANT:
-            fn = fns.constant(rec["value"])
-        elif kind is FnKind.ACTIVATION:
-            fn = fns.activation(rec["activation"])
-        elif kind in (FnKind.ADD, FnKind.MULTIPLY):
-            fn = ElemFn(kind, int(rec.get("arity", len(children))))
-        else:
-            fn = ElemFn(kind, 1 if kind in
-                        (FnKind.SQUARE, FnKind.SQRT, FnKind.IDENTITY,
-                         FnKind.SUM_REDUCE) else 2)
-        vertices.append(Vertex(vid, fn, children, False, None, True,
-                               rec.get("name")))
-    groups = tuple(
-        TieGroup(str(rec["id"]), tuple(int(m) for m in rec["members"]),
-                 as_f64(rec["value"]) if "value" in rec else None)
-        for rec in description.get("tie_groups", ()))
+        by_id: dict[int, Mapping] = {}
+        for rec in records:
+            vid = int(rec["id"])
+            if vid in by_id:
+                raise GraphError(f"duplicate vertex id {vid}")
+            by_id[vid] = rec
+        if set(by_id) != set(range(len(by_id))):
+            raise GraphError("vertex ids must be dense 0..n-1")
+        vertices = []
+        for vid in range(len(by_id)):
+            rec = by_id[vid]
+            if rec.get("leaf"):
+                vertices.append(Vertex(
+                    vid, None, (), True,
+                    rec.get("tie_group"), bool(rec.get("trainable", True)),
+                    rec.get("name")))
+                continue
+            kind = FnKind(rec["kind"])
+            children = tuple(int(c) for c in rec.get("children", ()))
+            if kind is FnKind.CONSTANT:
+                fn = fns.constant(rec["value"])
+            elif kind is FnKind.ACTIVATION:
+                fn = fns.activation(rec["activation"])
+            else:
+                arity = fns.KINDS[kind].arity
+                fn = ElemFn(kind, int(rec.get("arity", len(children)))
+                            if arity is None else arity)
+            vertices.append(Vertex(vid, fn, children, False, None, True,
+                                   rec.get("name")))
+        groups = tuple(
+            TieGroup(str(rec["id"]), tuple(int(m) for m in rec["members"]),
+                     as_f64(rec["value"]) if "value" in rec else None)
+            for rec in description.get("tie_groups", ()))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GraphError(f"malformed graph description: {exc!r}") from exc
     return Graph(vertices, output, groups)

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .autodiff import backprop
 from .errors import GraphError
-from .graph import Graph, VertexId, level_structure
+from .graph import Graph, VertexId
 from .leveller import level
 from .models import LEVELLED_FAMILIES, ModelSpec, build_model, default_dims
 from .numerics import Array
@@ -174,7 +174,9 @@ def run_ablation_suite(cfg: ExperimentConfig) -> tuple[list[dict], int]:
     for family, dims, label in _model_instances(cfg):
         for seed in cfg.seeds:
             g, params = build_model(ModelSpec(family, dims, cfg.activation, seed))
-            lg, _ = level(g)
+            lg, report = level(g)
+            multi_level = len({report.structure.levels[v]
+                               for v in lg.trainable_leaves()}) > 1
             y = _target_for(lg, params, cfg.target_offset)
             bp = backprop(lg, params, y, cfg.lr)
             bp_report = make_report(lg, "bp", bp.per_leaf)
@@ -183,9 +185,6 @@ def run_ablation_suite(cfg: ExperimentConfig) -> tuple[list[dict], int]:
                 ab_report = zil_ablate(lg, params, y, cfg.lr, which)
                 elapsed = time.perf_counter() - t0
                 div = divergence(bp_report, ab_report)
-                multi_level = len(set(
-                    level_structure(lg).levels[v]
-                    for v in lg.trainable_leaves())) > 1
                 ok = div > cfg.tolerance_positive if multi_level else True
                 failed |= not ok
                 rows.append({

@@ -25,7 +25,6 @@ from .graph import (
     Vertex,
     VertexId,
     level_structure,
-    topological_sort,
 )
 
 
@@ -42,7 +41,7 @@ class LevelReport:
 def _depths(g: Graph) -> dict[VertexId, int]:
     """Longest-path distance from the output to every vertex."""
     depth: dict[VertexId, int] = {g.output: 0}
-    for vid in topological_sort(g):
+    for vid in g.order:
         if vid == g.output:
             continue
         depth[vid] = 1 + max(depth[p] for p, _slot in g.parents[vid])
@@ -104,15 +103,12 @@ def audit_paths(g: Graph, limit: int = 1_000_000) -> dict[VertexId, frozenset[in
     """
     lengths: dict[VertexId, set[int]] = {v.id: set() for v in g.vertices}
     visits = 0
-
-    def walk(vid: VertexId, depth: int) -> None:
-        nonlocal visits
+    stack = [(g.output, 0)]  # one entry per path prefix still to extend
+    while stack:
+        vid, depth = stack.pop()
         visits += 1
         if visits > limit:
             raise TooLarge(visits, limit)
         lengths[vid].add(depth)
-        for c in g.vertices[vid].children:
-            walk(c, depth + 1)
-
-    walk(g.output, 0)
+        stack.extend((c, depth + 1) for c in g.vertices[vid].children)
     return {vid: frozenset(s) for vid, s in lengths.items()}

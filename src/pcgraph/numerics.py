@@ -45,11 +45,6 @@ def fsum_arrays(terms: Sequence[Array]) -> Array:
     return out.reshape(first.shape)
 
 
-def fsum_scalar(values: Iterable[float]) -> float:
-    """Correctly rounded sum of a stream of floats."""
-    return math.fsum(values)
-
-
 def l2_norm(values: Iterable[float]) -> float:
     """Euclidean norm with an order-independent sum of squares."""
     return math.sqrt(math.fsum(v * v for v in values))

@@ -25,16 +25,17 @@ Conventions pinned here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
 import numpy as np
 
-from .autodiff import forward
-from .errors import DomainError, GraphError
+from .autodiff import arriving, evaluate, forward, pull_back
+from .errors import GraphError
 from .graph import Graph, VertexId, check_params
-from .numerics import Array, as_f64, fsum_arrays, fsum_scalar
+from .numerics import Array, as_f64, fsum_arrays
 from .report import UpdateReport, make_report
 
 InitMode = Literal["zero_error", "free"]
@@ -68,15 +69,8 @@ def node_value(state: PCState, g: Graph, vid: VertexId) -> Array:
 
 def _predictions(g: Graph, x: Mapping[VertexId, Array],
                  params: Mapping[VertexId, Array]) -> dict[VertexId, Array]:
-    mu: dict[VertexId, Array] = {}
-    for vid in g.internal_ids:
-        v = g.vertices[vid]
-        ins = [params[c] if g.vertices[c].is_leaf else x[c] for c in v.children]
-        try:
-            mu[vid] = v.fn(ins)
-        except DomainError as err:
-            raise err.at_vertex(vid) from None
-    return mu
+    values = {**params, **x}
+    return {vid: evaluate(g, vid, values) for vid in g.internal_ids}
 
 
 def _with_values(g: Graph, x: dict[VertexId, Array],
@@ -125,28 +119,15 @@ def inference_step(state: PCState, g: Graph, gamma: float) -> PCState:
     """
     if gamma <= 0:
         raise GraphError("inference step size must be positive")
-    pulls: dict[VertexId, list[tuple[tuple[int, int], Array]]] = \
-        {vid: [] for vid in state.x}
-    for jid in g.internal_ids:
-        v = g.vertices[jid]
-        if v.fn.arity == 0:
-            continue
-        ins = [node_value(state, g, c) for c in v.children]
-        try:
-            parts = v.fn.vjp(ins, state.eps[jid])
-        except DomainError as err:
-            raise err.at_vertex(jid) from None
-        for slot, (c, part) in enumerate(zip(v.children, parts)):
-            if not g.vertices[c].is_leaf:
-                pulls[c].append(((jid, slot), part))
+    values = {**state.params, **state.x}  # node_value of every vertex
+    pulls = {jid: pull_back(g, jid, values, state.eps[jid])
+             for jid in g.internal_ids if g.vertices[jid].children}
     new_x: dict[VertexId, Array] = {}
     for vid in state.x:
         if state.clamp is not None and vid == g.output:
             new_x[vid] = state.x[vid]
             continue
-        terms = [-state.eps[vid]]
-        terms.extend(part for _key, part in
-                     sorted(pulls[vid], key=lambda kv: kv[0]))
+        terms = [-state.eps[vid], *arriving(g, vid, pulls)]
         new_x[vid] = state.x[vid] + gamma * fsum_arrays(terms)
     return _with_values(g, new_x, state.params, state.t + 1, state.clamp)
 
@@ -156,7 +137,7 @@ def energy(state: PCState) -> EnergyValue:
     squares: list[float] = []
     for e in state.eps.values():
         squares.extend((np.asarray(e, dtype=np.float64).ravel() ** 2).tolist())
-    return EnergyValue(F=0.5 * fsum_scalar(squares))
+    return EnergyValue(F=0.5 * math.fsum(squares))
 
 
 def extract_updates(state: PCState, g: Graph, lr: float,
@@ -168,23 +149,15 @@ def extract_updates(state: PCState, g: Graph, lr: float,
     (the level schedule uses this); default is all trainable leaves.
     """
     wanted = set(g.trainable_leaves()) if only is None else set(only)
-    contribs: dict[VertexId, list[tuple[tuple[int, int], Array]]] = \
-        {vid: [] for vid in wanted}
-    for jid in g.internal_ids:
-        v = g.vertices[jid]
-        if v.fn.arity == 0 or not any(c in wanted for c in v.children):
-            continue
-        ins = [node_value(state, g, c) for c in v.children]
-        parts = v.fn.vjp(ins, state.eps[jid])
-        for slot, (c, part) in enumerate(zip(v.children, parts)):
-            if c in wanted:
-                contribs[c].append(((jid, slot), part))
+    values = {**state.params, **state.x}  # node_value of every vertex
+    pulls = {jid: pull_back(g, jid, values, state.eps[jid])
+             for jid in g.internal_ids
+             if any(c in wanted for c in g.vertices[jid].children)}
     out: dict[VertexId, Array] = {}
     for vid in wanted:
-        if not contribs[vid]:
+        if not g.parents[vid]:
             raise GraphError(f"leaf {vid} has no parents to read errors from")
-        parts = [p for _key, p in sorted(contribs[vid], key=lambda kv: kv[0])]
-        out[vid] = lr * fsum_arrays(parts)
+        out[vid] = lr * fsum_arrays(arriving(g, vid, pulls))
     return out
 
 

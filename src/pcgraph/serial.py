@@ -70,12 +70,17 @@ def graph_to_dict(g: Graph, params: Mapping[VertexId, Array] | None = None) -> d
 
 
 def graph_from_dict(d: Mapping) -> tuple[Graph, dict[VertexId, Array] | None]:
+    if not isinstance(d, Mapping):
+        raise GraphError("graph description must be a JSON object")
     if d.get("format", FORMAT) != FORMAT:
         raise GraphError(f"unsupported graph format {d.get('format')!r}")
     g = build_graph(d)
     params = None
     if "params" in d:
-        params = {int(k): as_f64(v) for k, v in d["params"].items()}
+        try:
+            params = {int(k): as_f64(v) for k, v in d["params"].items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise GraphError(f"malformed params: {exc!r}") from exc
     return g, params
 
 

@@ -34,6 +34,7 @@ from typing import Literal, Mapping
 
 import numpy as np
 
+from .autodiff import arriving, pull_back
 from .errors import BadGamma, GraphError
 from .graph import Graph, VertexId, level_structure, min_distances
 from .numerics import Array, as_f64, fsum_arrays
@@ -227,22 +228,16 @@ def check_wavefront_recursion(trace: ZilTrace, g: Graph, *, tol: float = 1e-9) -
     that is the only step at which the wavefront crosses the edge.
     Checked against a from-scratch recomputation out of the trace.
     """
-    from .pc import node_value
-
     structure = level_structure(g)
     gamma = trace.schedule.gamma
-    for jid in g.internal_ids:
-        lvl = structure.levels[jid]
-        if lvl == 0 or lvl >= len(trace.snapshots):
-            continue
-        prev = trace.snapshots[lvl - 1]
-        now = trace.snapshots[lvl]
-        parts = []
-        for pid, slot in g.parents[jid]:
-            v = g.vertices[pid]
-            ins = [node_value(prev, g, c) for c in v.children]
-            parts.append(v.fn.vjp(ins, prev.eps[pid])[slot])
-        expected = gamma * fsum_arrays(parts)
-        if not np.allclose(as_f64(now.eps[jid]), expected, atol=tol, rtol=0.0):
-            return False
+    for t in range(1, len(trace.snapshots)):
+        prev, now = trace.snapshots[t - 1], trace.snapshots[t]
+        settling = [j for j in structure.members(t) if not g.vertices[j].is_leaf]
+        values = {**prev.params, **prev.x}
+        pulls = {p: pull_back(g, p, values, prev.eps[p])
+                 for p in {p for j in settling for p, _slot in g.parents[j]}}
+        for jid in settling:
+            expected = gamma * fsum_arrays(arriving(g, jid, pulls))
+            if not np.allclose(as_f64(now.eps[jid]), expected, atol=tol, rtol=0.0):
+                return False
     return True

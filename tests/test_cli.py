@@ -39,6 +39,19 @@ def test_build_rejects_bad_family(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("description", [
+    {"output": 1, "vertices": [{"id": 0, "leaf": True},
+                               {"id": 1, "children": [0]}]},
+    [{"id": 0, "leaf": True}],
+    {"output": 0, "vertices": [{"id": 0, "leaf": True}], "params": [1.0]},
+])
+def test_malformed_graph_file_is_a_usage_error(tmp_path, capsys, description):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(description))
+    assert main(["export-dot", "--graph", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_export_dot(skipchain_file, capsys):
     assert main(["export-dot", "--graph", str(skipchain_file)]) == 0
     out = capsys.readouterr().out

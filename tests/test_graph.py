@@ -131,6 +131,8 @@ def test_unreachable_vertices_rejected():
     (lambda vs, grp: (vs, [TieGroup("k", ())]), "empty"),
     (lambda vs, grp: (vs, [TieGroup("k", (0,))]), "not a leaf"),
     (lambda vs, grp: (vs, [TieGroup("other", (1,))]), "does not name"),
+    (lambda vs, grp: (vs, [TieGroup("k", (1,)), TieGroup("k", (1,))]),
+     "distinct"),
 ])
 def test_bad_tie_groups(mutate, match):
     vs = [Vertex(0, fns.square(), (1,), False),
@@ -284,6 +286,18 @@ def test_build_graph_with_tie_groups():
     {"output": 0, "vertices": [{"id": 0, "leaf": True},
                                {"id": 0, "leaf": True}]},
     {"output": 0, "vertices": [{"id": 4, "leaf": True}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": True},
+                               {"id": 1, "children": [0]}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": True},
+                               {"id": 1, "kind": "nope", "children": [0]}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": True},
+                               {"id": 1, "kind": "add", "arity": 1,
+                                "children": [0]}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": True},
+                               {"id": 1, "kind": "activation", "children": [0]}]},
+    {"output": "top", "vertices": []},
+    {"output": 0, "vertices": [7]},
+    [{"id": 0, "leaf": True}],
 ])
 def test_build_graph_rejects_malformed_descriptions(desc):
     with pytest.raises(GraphError):

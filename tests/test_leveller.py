@@ -106,6 +106,13 @@ def test_neutrality_on_random_graphs(seed):
     assert audit_paths(lg) == path_length_sets(lg)
 
 
+def test_audit_walk_handles_deep_graphs():
+    # 400 unrolled steps: far deeper than the interpreter's recursion limit
+    g, _params = models.build_model(models.ModelSpec("rnn", (400, 2, 2)))
+    lg, _report = level(g)
+    assert audit_paths(lg) == path_length_sets(lg)
+
+
 def test_audit_walk_budget():
     g, _params = skip_product_graph()
     with pytest.raises(TooLarge):

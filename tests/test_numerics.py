@@ -10,16 +10,8 @@ from pcgraph.numerics import (
     angle_degrees,
     as_f64,
     fsum_arrays,
-    fsum_scalar,
     l2_norm,
 )
-
-
-def test_fsum_scalar_is_correctly_rounded():
-    # naive left-to-right addition loses the 1.0 entirely
-    terms = [1e16, 1.0, -1e16]
-    assert sum(terms) == 0.0
-    assert fsum_scalar(terms) == 1.0
 
 
 def test_fsum_arrays_componentwise():

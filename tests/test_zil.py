@@ -235,6 +235,24 @@ def test_one_step_error_recursion_at_settling_time():
         assert check_wavefront_recursion(trace, g), family
 
 
+def test_error_recursion_check_catches_a_tampered_settled_error():
+    g, params = models.build_model(models.ModelSpec("mlp", (3, 4, 1), "tanh", 2))
+    _rep, trace = zil_train_step(g, params, y=0.6)
+    structure = level_structure(g)
+    t = 2
+    vid = next(v for v in structure.members(t) if not g.vertices[v].is_leaf)
+    snap = trace.snapshots[t]
+    bad_eps = dict(snap.eps)
+    bad_eps[vid] = snap.eps[vid] + 1e-3
+    tampered = ZilTrace(
+        snapshots=trace.snapshots[:t] + (
+            PCState(snap.x, snap.mu, bad_eps, snap.t, snap.params, snap.clamp),
+        ) + trace.snapshots[t + 1:],
+        updates=trace.updates, schedule=trace.schedule)
+    assert check_wavefront_recursion(trace, g)
+    assert not check_wavefront_recursion(tampered, g)
+
+
 # -- ablations ------------------------------------------------------------
 
 def test_each_ablation_breaks_exactness_on_a_multi_level_graph():

@@ -64,16 +64,20 @@ class TieGroup:
 
 @dataclass(frozen=True)
 class LevelStructure:
-    """Partition of a levelled graph's vertices by root-path length."""
+    """Partition of a levelled graph's vertices by root-path length.
+
+    ``buckets[k]`` holds the ids at level k, ascending.
+    """
 
     levels: dict[VertexId, int]
     max_level: int
+    buckets: tuple[tuple[VertexId, ...], ...]
 
     def level(self, vid: VertexId) -> int:
         return self.levels[vid]
 
     def members(self, k: int) -> tuple[VertexId, ...]:
-        return tuple(sorted(v for v, l in self.levels.items() if l == k))
+        return self.buckets[k] if 0 <= k <= self.max_level else ()
 
 
 class Graph:
@@ -83,7 +87,9 @@ class Graph:
     direct construction validates too.  Construction also computes the
     graph's plan once: ``order`` (see :func:`topological_sort`),
     ``internal_ids`` (non-leaf ids, ascending), ``param_keys`` (see
-    :func:`param_keys`) and ``group_by_id``.
+    :func:`param_keys`) and ``group_by_id``.  The level structure is
+    computed on first use by :func:`level_structure` and kept, whether
+    it is a partition or a :class:`NotLevelled` outcome.
     """
 
     def __init__(self, vertices: Sequence[Vertex], output: VertexId,
@@ -108,6 +114,7 @@ class Graph:
             *(("group", grp.group_id) for grp in self.tie_groups),
             *(("leaf", v) for v in self.leaves
               if self.vertices[v].trainable and v not in self.group_of))
+        self._levels: LevelStructure | tuple | None = None  # see level_structure
 
     # -- accessors -------------------------------------------------------
 
@@ -274,15 +281,25 @@ def level_structure(g: Graph) -> LevelStructure:
     """The unique partition by root-path length, if the graph is levelled.
 
     Raises :class:`NotLevelled` naming the smallest-id vertex whose
-    root-path lengths disagree.
+    root-path lengths disagree.  Either outcome is computed once per
+    graph.
     """
-    sets = path_length_sets(g)
-    offenders = sorted(v for v, s in sets.items() if len(s) != 1)
-    if offenders:
-        v = offenders[0]
-        raise NotLevelled(v, sets[v])
-    levels = {v: next(iter(s)) for v, s in sets.items()}
-    return LevelStructure(levels=levels, max_level=max(levels.values()))
+    if g._levels is None:
+        sets = path_length_sets(g)
+        offenders = sorted(v for v, s in sets.items() if len(s) != 1)
+        if offenders:
+            g._levels = (offenders[0], sets[offenders[0]])
+        else:
+            levels = {v: next(iter(s)) for v, s in sets.items()}
+            max_level = max(levels.values())
+            buckets: list[list[VertexId]] = [[] for _ in range(max_level + 1)]
+            for v in range(len(g.vertices)):
+                buckets[levels[v]].append(v)
+            g._levels = LevelStructure(levels=levels, max_level=max_level,
+                                       buckets=tuple(map(tuple, buckets)))
+    if isinstance(g._levels, tuple):
+        raise NotLevelled(*g._levels)
+    return g._levels
 
 
 def param_keys(g: Graph) -> tuple[ParamKey, ...]:

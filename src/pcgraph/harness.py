@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import statistics
 import sys
 import time
@@ -24,7 +25,8 @@ from .autodiff import backprop
 from .errors import GraphError
 from .graph import Graph, VertexId
 from .leveller import level
-from .models import LEVELLED_FAMILIES, ModelSpec, build_model, default_dims
+from .functions import ACTIVATION_NAMES
+from .models import FAMILIES, LEVELLED_FAMILIES, ModelSpec, build_model, default_dims
 from .numerics import Array
 from .pc import il_train_step
 from .report import divergence, make_report
@@ -61,6 +63,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ExperimentConfig":
+        """Build a config from outside input, rejecting bad keys and types
+        with :class:`GraphError`."""
+        if not isinstance(d, Mapping):
+            raise GraphError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -68,8 +74,12 @@ class ExperimentConfig:
         kwargs = dict(d)
         for key in ("families", "seeds"):
             if key in kwargs:
+                if not isinstance(kwargs[key], (list, tuple)):
+                    raise GraphError(f"config {key!r} must be a list")
                 kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        cfg = cls(**kwargs)
+        _check_config(cfg)
+        return cfg
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -77,6 +87,32 @@ class ExperimentConfig:
             return cls.from_dict(json.loads(Path(path).read_text()))
         except (OSError, json.JSONDecodeError) as exc:
             raise GraphError(f"cannot read config {path}: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_config(cfg: ExperimentConfig) -> None:
+    """Raise :class:`GraphError` naming the first field of a wrong type
+    or out of range."""
+    if not all(isinstance(f, str) and f in FAMILIES for f in cfg.families):
+        raise GraphError(f"config 'families' must name families from {FAMILIES}")
+    if not all(_is_int(s) for s in cfg.seeds):
+        raise GraphError("config 'seeds' must be integers")
+    if not (isinstance(cfg.activation, str)
+            and cfg.activation in ACTIVATION_NAMES):
+        raise GraphError(f"config 'activation' must be one of {ACTIVATION_NAMES}")
+    for name in ("lr", "gamma_il", "tolerance_zero", "tolerance_positive",
+                 "target_offset"):
+        value = getattr(cfg, name)
+        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            raise GraphError(f"config {name!r} must be a finite number")
+    for name, low in (("T_il", 1), ("repetitions", 1), ("warmup", 0)):
+        value = getattr(cfg, name)
+        if not _is_int(value) or value < low:
+            raise GraphError(f"config {name!r} must be an integer >= {low}")
 
 
 def code_version() -> str:

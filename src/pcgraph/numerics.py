@@ -29,12 +29,23 @@ def fsum_arrays(terms: Sequence[Array]) -> Array:
     Each output component is the correctly rounded sum of the
     corresponding input components (computed via ``math.fsum``), so the
     result does not depend on the order of ``terms``.
+
+    Two terms take one array addition: a single IEEE addition is already
+    correctly rounded, and ``+ 0.0`` turns a -0.0 sum into 0.0 as
+    ``math.fsum`` does.  A non-finite result falls back to the
+    per-component loop, so overflow and inf - inf raise as they do there.
     """
     if not terms:
         raise ValueError("fsum_arrays needs at least one term")
     first = as_f64(terms[0])
     if len(terms) == 1:
         return first.copy()
+    if len(terms) == 2:
+        second = as_f64(terms[1])
+        if first.shape == second.shape:
+            out = as_f64((first + second) + 0.0)
+            if np.isfinite(out).all():
+                return out
     stacked = np.stack([as_f64(t) for t in terms])
     if stacked.ndim == 1:  # 0-d inputs
         return np.asarray(math.fsum(stacked), dtype=np.float64)

@@ -108,7 +108,14 @@ def init_state(g: Graph, params: Mapping[VertexId, Array],
         if trace.mu[g.output].shape != ():
             raise GraphError("clamping needs a scalar output vertex")
         x[g.output] = as_f64(float(y))
-    return _with_values(g, x, zeta, 0, float(y) if y is not None else None)
+    clamp = float(y) if y is not None else None
+    if mode == "free":
+        return _with_values(g, x, zeta, 0, clamp)
+    # Every prediction reads only children's values, which are the forward
+    # values (the clamped output is nobody's child): mu is the forward pass.
+    mu = {vid: trace.mu[vid] for vid in g.internal_ids}
+    eps = {vid: x[vid] - mu[vid] for vid in x}
+    return PCState(x=x, mu=mu, eps=eps, t=0, params=zeta, clamp=clamp)
 
 
 def inference_step(state: PCState, g: Graph, gamma: float) -> PCState:

@@ -24,21 +24,33 @@ Two schedule variants:
   on levelled graphs (where minimum distance *is* the level) and
   generally wrong on graphs with unequal path lengths, which is the
   failure the leveller repairs.
+
+Two engines run a schedule, chosen from the run's inputs:
+
+* the wavefront engine, when the graph is levelled, the start is
+  zero-error, no trace is recorded, and every leaf is read at
+  level(leaf) - 1 (``level_structured``, ``layer_indexed`` on a
+  levelled graph, the ``gamma_half`` ablation).  Step t pulls back
+  only through level t, so a run costs about one reverse pass;
+* the dense engine otherwise (traced runs, unlevelled graphs, the
+  ``no_level_schedule`` and ``nonzero_init_error`` ablations).  It
+  relaxes every value node at every step and is the oracle the
+  wavefront engine matches byte for byte.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Mapping
 
 import numpy as np
 
-from .autodiff import arriving, pull_back
-from .errors import BadGamma, GraphError
-from .graph import Graph, VertexId, level_structure, min_distances
+from .autodiff import arriving, evaluate, pull_back
+from .errors import BadGamma, GraphError, NotLevelled
+from .graph import Graph, LevelStructure, VertexId, level_structure, min_distances
 from .numerics import Array, as_f64, fsum_arrays
-from .pc import PCState, extract_updates, inference_step, init_state
+from .pc import PCState, _with_values, extract_updates, inference_step, init_state
 from .report import UpdateReport, make_report
 
 Variant = Literal["level_structured", "layer_indexed"]
@@ -52,10 +64,18 @@ class ZilSchedule:
     gamma: float
     steps: int
     update_times: dict[VertexId, int]
+    _due: dict[int, tuple[VertexId, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        due: dict[int, list[VertexId]] = {}
+        for v in sorted(self.update_times):
+            due.setdefault(self.update_times[v], []).append(v)
+        object.__setattr__(self, "_due",
+                           {t: tuple(vs) for t, vs in due.items()})
 
     def leaves_at(self, t: int) -> tuple[VertexId, ...]:
-        return tuple(sorted(v for v, when in self.update_times.items()
-                            if when == t))
+        return self._due.get(t, ())
 
 
 @dataclass(frozen=True)
@@ -102,7 +122,43 @@ def _run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
                   lr: float, schedule: ZilSchedule, *,
                   init_perturbation: float = 0.0,
                   record_trace: bool = True) -> tuple[dict[VertexId, Array], ZilTrace, float]:
+    """Run a schedule on the wavefront engine when its inputs allow, else dense.
+
+    The wavefront engine needs a levelled graph, a zero-error start, no
+    recorded trace, and every leaf read at level(leaf) - 1; both engines
+    give the same bytes there.
+    """
     start = time.perf_counter()
+    structure = None
+    if init_perturbation == 0.0 and not record_trace:
+        structure = _wavefront_levels(g, schedule)
+    if structure is not None:
+        per_leaf = _wavefront(g, structure, params, y, lr, schedule)
+        snapshots: tuple[PCState, ...] = ()
+    else:
+        per_leaf, snapshots = _dense(g, params, y, lr, schedule,
+                                     init_perturbation, record_trace)
+    trace = ZilTrace(snapshots=snapshots, updates=dict(per_leaf),
+                     schedule=schedule)
+    return per_leaf, trace, time.perf_counter() - start
+
+
+def _wavefront_levels(g: Graph, schedule: ZilSchedule) -> LevelStructure | None:
+    """The graph's levels if every leaf is read at level(leaf) - 1, else None."""
+    try:
+        structure = level_structure(g)
+    except NotLevelled:
+        return None
+    if all(when == structure.levels[v] - 1
+           for v, when in schedule.update_times.items()):
+        return structure
+    return None
+
+
+def _dense(g: Graph, params: Mapping[VertexId, Array], y: float, lr: float,
+           schedule: ZilSchedule, init_perturbation: float,
+           record_trace: bool) -> tuple[dict[VertexId, Array], tuple[PCState, ...]]:
+    """Relax every value node at every step (the oracle engine)."""
     state = init_state(g, params, y, "zero_error")
     if init_perturbation != 0.0:
         state = _perturb(state, g, init_perturbation)
@@ -116,15 +172,45 @@ def _run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
             per_leaf.update(extract_updates(state, g, lr, only=set(due)))
         if t < schedule.steps - 1:
             state = inference_step(state, g, schedule.gamma)
-    trace = ZilTrace(snapshots=tuple(snapshots), updates=dict(per_leaf),
-                     schedule=schedule)
-    return per_leaf, trace, time.perf_counter() - start
+    return per_leaf, tuple(snapshots)
+
+
+def _wavefront(g: Graph, structure: LevelStructure,
+               params: Mapping[VertexId, Array], y: float, lr: float,
+               schedule: ZilSchedule) -> dict[VertexId, Array]:
+    """Step t pulls back only through the internal vertices at level t.
+
+    By the quiet window (see :func:`check_quiet_window`) every vertex
+    below level t still holds its initial value and zero error at step
+    t, so the level-t errors left by step t-1 are all the step needs.
+    One pull set serves the leaves due at t and advances level t+1.
+    The arithmetic is the dense step's: a quiet value node presents
+    x0 at t = 0 and x0 + 0.0 afterwards (the dense step adds +0.0 to
+    it), and a vertex reached by the wavefront takes
+    x + gamma * fsum([-eps0, *arriving]) with eps = x - mu.
+    """
+    state = init_state(g, params, y, "zero_error")
+    values = {**state.params, **state.x}  # what each vertex presents at t
+    eps = {g.output: state.eps[g.output]}  # errors of the level-t vertices
+    per_leaf: dict[VertexId, Array] = {}
+    for t in range(schedule.steps):
+        pulls = {j: pull_back(g, j, values, e) for j, e in eps.items()}
+        for vid in schedule.leaves_at(t):
+            per_leaf[vid] = lr * fsum_arrays(arriving(g, vid, pulls))
+        if t == schedule.steps - 1:
+            break
+        front = [v for v in structure.members(t + 1) if g.vertices[v].children]
+        new_x = {v: values[v] + schedule.gamma * fsum_arrays(
+                     [-state.eps[v], *arriving(g, v, pulls)]) for v in front}
+        if t == 0:
+            values = {**state.params,
+                      **{v: x + 0.0 for v, x in state.x.items()}}
+        eps = {v: new_x[v] - evaluate(g, v, values) for v in front}
+    return per_leaf
 
 
 def _perturb(state: PCState, g: Graph, amount: float) -> PCState:
     """Shift every unclamped internal value node by a constant offset."""
-    from .pc import _with_values  # assembled the same way as the engine
-
     new_x = {}
     for vid, val in state.x.items():
         if state.clamp is not None and vid == g.output:

@@ -111,6 +111,26 @@ def _tiny_config(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("config", [
+    {"seeds": 5},
+    {"lr": "a"},
+    {"families": ["nope"]},
+    {"families": "mlp"},
+    {"seeds": [0.5]},
+    {"activation": ["tanh"]},
+    {"lr": float("nan")},
+    {"repetitions": 0},
+    {"T_il": True},
+    [1, 2],
+])
+def test_bad_config_types_are_a_usage_error(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["equiv", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_equiv_subcommand(tmp_path):
     out = tmp_path / "rows.csv"
     code = main(["equiv", "--config", str(_tiny_config(tmp_path)),

@@ -203,16 +203,19 @@ def test_level_structure_on_a_chain():
     assert s.levels == {out: 0, z: 1}
     assert s.max_level == 1
     assert s.members(1) == (z,)
+    assert s.members(2) == () and s.members(-1) == ()
+    assert level_structure(g) is s  # computed once per graph
 
 
 def test_level_structure_rejects_skips():
     g, _params = models.build_model(models.ModelSpec("skipchain"))
     sets = path_length_sets(g)
     expected_offender = min(v for v, s in sets.items() if len(s) != 1)
-    with pytest.raises(NotLevelled) as exc:
-        level_structure(g)
-    assert exc.value.vertex == expected_offender
-    assert len(exc.value.lengths) > 1
+    for _ in range(2):  # the cached outcome raises afresh
+        with pytest.raises(NotLevelled) as exc:
+            level_structure(g)
+        assert exc.value.vertex == expected_offender
+        assert exc.value.lengths == sets[expected_offender]
 
 
 # -- parameter bookkeeping ------------------------------------------------

@@ -38,6 +38,27 @@ def test_fsum_arrays_zero_dim():
     assert float(out) == math.fsum([0.1, 0.2, 0.3])
 
 
+def test_fsum_arrays_two_terms_match_math_fsum_bytes():
+    """Signed zeros, subnormals and mixed signs, every pair of them."""
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+              1.0, -1.0, 0.1, -0.3, 1e16, 2.0 - 1e16, math.pi, 8e307, -8e307]
+    a = np.array([x for x in values for _ in values])
+    b = np.array([y for _ in values for y in values])
+    expected = np.array([math.fsum([x, y]) for x, y in zip(a, b)])
+    assert fsum_arrays([a, b]).tobytes() == expected.tobytes()
+    for x, y, want in zip(a, b, expected):
+        out = fsum_arrays([np.asarray(x), np.asarray(y)])
+        assert out.shape == () and out.tobytes() == want.tobytes()
+
+
+def test_fsum_arrays_two_terms_still_raise_on_overflow_and_inf_minus_inf():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError):
+            fsum_arrays([np.array([1.0, 1e308]), np.array([2.0, 1e308])])
+        with pytest.raises(ValueError):
+            fsum_arrays([np.asarray(np.inf), np.asarray(-np.inf)])
+
+
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False), min_size=2, max_size=8),
        st.randoms(use_true_random=False))

@@ -19,6 +19,7 @@ from .errors import (
     DanglingId,
     DomainError,
     GraphError,
+    NonFiniteSum,
     NotLevelled,
     ShapeMismatch,
     TooLarge,
@@ -33,7 +34,6 @@ from .graph import (
     TieGroup,
     Vertex,
     VertexId,
-    build_graph,
     check_params,
     level_structure,
     min_distances,
@@ -88,6 +88,7 @@ from .harness import (
     run_equivalence_suite,
     write_rows,
 )
-from .serial import graph_from_dict, graph_to_dict, load_graph, save_graph, to_dot
+from .serial import (build_graph, graph_from_dict, graph_to_dict, load_graph,
+                     save_graph, to_dot)
 
 __version__ = "0.1.0"

@@ -13,8 +13,9 @@ arriving contributions — in particular under identity-vertex insertion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -83,6 +84,28 @@ def arriving(g: Graph, vid: VertexId,
     return [pulls[p][slot] for p, slot in g.parents[vid]]
 
 
+def reverse_sweep(g: Graph, values: Mapping[VertexId, Array], seed: Array,
+                  settle: Callable[[VertexId, list[Array]], Array]
+                  ) -> dict[VertexId, Array]:
+    """Every vertex's signal, in ``g.order`` from ``seed`` at the output.
+
+    A leaf's signal is the sum of its arriving pulls, an internal
+    vertex's is ``settle(vid, terms)``; each vertex with children is
+    then pulled back once through ``values``.  Backprop and the Z-IL
+    wavefront engine are this walk with different settle rules.
+    """
+    signal: dict[VertexId, Array] = {g.output: seed}
+    pulls: dict[VertexId, tuple[Array, ...]] = {}
+    for vid in g.order:
+        if vid != g.output:
+            terms = arriving(g, vid, pulls)
+            signal[vid] = (fsum_arrays(terms) if g.vertices[vid].is_leaf
+                           else settle(vid, terms))
+        if g.vertices[vid].children:
+            pulls[vid] = pull_back(g, vid, values, signal[vid])
+    return signal
+
+
 def forward(g: Graph, params: Mapping[VertexId, Array],
             overrides: Mapping[VertexId, Array] | None = None) -> ForwardTrace:
     """Evaluate every vertex bottom-up.
@@ -123,17 +146,12 @@ def backprop(g: Graph, params: Mapping[VertexId, Array], y: float,
     delta(output) = mu_out - y; every other vertex accumulates its
     parents' pulled-back signals.  Leaf update: -lr * delta(leaf).
     """
+    if not math.isfinite(float(y)):
+        raise GraphError(f"target y must be finite, got {y!r}")
     trace = forward(g, params)
     mu_out = _require_scalar_output(g, trace)
-    delta: dict[VertexId, Array] = {}
-    pulls: dict[VertexId, tuple[Array, ...]] = {}
-    for vid in g.order:
-        if vid == g.output:
-            delta[vid] = mu_out - float(y)
-        else:
-            delta[vid] = fsum_arrays(arriving(g, vid, pulls))
-        if g.vertices[vid].children:
-            pulls[vid] = pull_back(g, vid, trace.mu, delta[vid])
+    delta = reverse_sweep(g, trace.mu, mu_out - float(y),
+                          lambda _vid, terms: fsum_arrays(terms))
     per_leaf = {v: -lr * delta[v] for v in g.trainable_leaves()}
     updates = collect_updates(g, per_leaf)
     return BPReport(delta=delta, updates=updates, per_leaf=per_leaf,
@@ -214,4 +232,4 @@ def grad_check(g: Graph, params: Mapping[VertexId, Array], y: float,
                h: float = 1e-6) -> float:
     """Max relative error between analytic and central-difference gradients."""
     rows = gradient_rows(g, params, y, h)
-    return max((row["rel_error"] for row in rows), default=0.0)
+    return float(np.max([row["rel_error"] for row in rows], initial=0.0))

@@ -80,6 +80,11 @@ class DomainError(GraphError):
         return DomainError(self.value, vertex=vertex)
 
 
+class NonFiniteSum(GraphError, OverflowError, ValueError):
+    """An exact sum overflowed or met inf - inf (what ``math.fsum``
+    raises as OverflowError or ValueError): the inputs were too large."""
+
+
 class BadGamma(GraphError):
     """An integration step other than 1 was requested for an exact schedule."""
 

@@ -17,6 +17,7 @@ recurrent weights); their update is the sum of the member updates.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -33,7 +34,7 @@ from .errors import (
     NotLevelled,
     UnreachableVertex,
 )
-from .functions import ElemFn, FnKind
+from .functions import ElemFn
 from .numerics import Array, as_f64
 
 VertexId = int
@@ -73,9 +74,6 @@ class LevelStructure:
     max_level: int
     buckets: tuple[tuple[VertexId, ...], ...]
 
-    def level(self, vid: VertexId) -> int:
-        return self.levels[vid]
-
     def members(self, k: int) -> tuple[VertexId, ...]:
         return self.buckets[k] if 0 <= k <= self.max_level else ()
 
@@ -83,7 +81,7 @@ class LevelStructure:
 class Graph:
     """Validated, immutable computational graph.
 
-    Construct through :class:`GraphBuilder` or :func:`build_graph`;
+    Construct through :class:`GraphBuilder` or ``serial.build_graph``;
     direct construction validates too.  Construction also computes the
     graph's plan once: ``order`` (see :func:`topological_sort`),
     ``internal_ids`` (non-leaf ids, ascending), ``param_keys`` (see
@@ -120,9 +118,6 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def vertex(self, vid: VertexId) -> Vertex:
-        return self.vertices[vid]
 
     def trainable_leaves(self) -> tuple[VertexId, ...]:
         return tuple(v for v in self.leaves if self.vertices[v].trainable)
@@ -196,6 +191,9 @@ class Graph:
                 if not self.vertices[m].is_leaf:
                     raise BadTieGroup(
                         f"tie group {grp.group_id!r} member {m} is not a leaf")
+                if not self.vertices[m].trainable:
+                    raise BadTieGroup(
+                        f"tie group {grp.group_id!r} member {m} is not trainable")
                 if m in seen:
                     raise BadTieGroup(f"leaf {m} belongs to several tie groups")
                 if self.vertices[m].tie_group != grp.group_id:
@@ -308,15 +306,27 @@ def param_keys(g: Graph) -> tuple[ParamKey, ...]:
     return g.param_keys
 
 
+def _all_finite(a: Array) -> bool:
+    # A finite a.a shows every component finite in one BLAS call; only a
+    # product that overflowed needs the componentwise test.
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def check_params(g: Graph, params: Mapping[VertexId, Array]) -> None:
-    """Validate that ``params`` covers all leaves and respects tie groups."""
+    """Validate that ``params`` covers all leaves with finite values and
+    respects tie groups."""
     for v in g.leaves:
         if v not in params:
             raise GraphError(f"missing value for leaf {v}")
+        if v not in g.group_of and not _all_finite(as_f64(params[v])):
+            raise GraphError(f"non-finite value for leaf {v}")
     for grp in g.tie_groups:
         first = as_f64(params[grp.members[0]])
+        if not _all_finite(first):
+            raise GraphError(f"non-finite value for tie group {grp.group_id!r}")
         for m in grp.members[1:]:
-            if not np.array_equal(first, as_f64(params[m])):
+            other = as_f64(params[m])
+            if other.shape != first.shape or not (other == first).all():
                 raise BadTieGroup(
                     f"tie group {grp.group_id!r} members disagree at leaf {m}")
 
@@ -370,51 +380,3 @@ class GraphBuilder:
             for gid, members in self._tie_members.items())
         return Graph(self._vertices, output, groups)
 
-
-def build_graph(description: Mapping) -> Graph:
-    """Build a graph from its plain-dict description (the JSON schema).
-
-    Expected keys: ``output`` (int), ``vertices`` (list of vertex
-    records), optional ``tie_groups``.  See the README for the schema.
-    Parameter values under ``params`` are ignored here; the serializer
-    returns them separately.
-    """
-    try:
-        records = list(description["vertices"])
-        output = int(description["output"])
-        by_id: dict[int, Mapping] = {}
-        for rec in records:
-            vid = int(rec["id"])
-            if vid in by_id:
-                raise GraphError(f"duplicate vertex id {vid}")
-            by_id[vid] = rec
-        if set(by_id) != set(range(len(by_id))):
-            raise GraphError("vertex ids must be dense 0..n-1")
-        vertices = []
-        for vid in range(len(by_id)):
-            rec = by_id[vid]
-            if rec.get("leaf"):
-                vertices.append(Vertex(
-                    vid, None, (), True,
-                    rec.get("tie_group"), bool(rec.get("trainable", True)),
-                    rec.get("name")))
-                continue
-            kind = FnKind(rec["kind"])
-            children = tuple(int(c) for c in rec.get("children", ()))
-            if kind is FnKind.CONSTANT:
-                fn = fns.constant(rec["value"])
-            elif kind is FnKind.ACTIVATION:
-                fn = fns.activation(rec["activation"])
-            else:
-                arity = fns.KINDS[kind].arity
-                fn = ElemFn(kind, int(rec.get("arity", len(children)))
-                            if arity is None else arity)
-            vertices.append(Vertex(vid, fn, children, False, None, True,
-                                   rec.get("name")))
-        groups = tuple(
-            TieGroup(str(rec["id"]), tuple(int(m) for m in rec["members"]),
-                     as_f64(rec["value"]) if "value" in rec else None)
-            for rec in description.get("tie_groups", ()))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise GraphError(f"malformed graph description: {exc!r}") from exc
-    return Graph(vertices, output, groups)

@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import statistics
 import sys
 import time
@@ -107,7 +106,8 @@ def _check_config(cfg: ExperimentConfig) -> None:
                  "target_offset"):
         value = getattr(cfg, name)
         if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value)):
+                # finite, and no int too large for a float (exact compare)
+                and abs(value) <= sys.float_info.max):
             raise GraphError(f"config {name!r} must be a finite number")
     for name, low in (("T_il", 1), ("repetitions", 1), ("warmup", 0)):
         value = getattr(cfg, name)

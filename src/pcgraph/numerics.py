@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import NonFiniteSum
+
 Array = np.ndarray
 
 
@@ -30,16 +32,17 @@ def fsum_arrays(terms: Sequence[Array]) -> Array:
     corresponding input components (computed via ``math.fsum``), so the
     result does not depend on the order of ``terms``.
 
-    Two terms take one array addition: a single IEEE addition is already
-    correctly rounded, and ``+ 0.0`` turns a -0.0 sum into 0.0 as
-    ``math.fsum`` does.  A non-finite result falls back to the
-    per-component loop, so overflow and inf - inf raise as they do there.
+    One term is returned as ``first + 0.0`` and two terms take one array
+    addition: a single IEEE addition is already correctly rounded, and
+    ``+ 0.0`` turns a -0.0 sum into 0.0 as ``math.fsum`` does.  A
+    non-finite two-term result falls back to the per-component loop, so
+    overflow and inf - inf raise there, as :class:`NonFiniteSum`.
     """
     if not terms:
         raise ValueError("fsum_arrays needs at least one term")
     first = as_f64(terms[0])
-    if len(terms) == 1:
-        return first.copy()
+    if len(terms) == 1:  # a 0-d sum would come back as a numpy scalar
+        return first + 0.0 if first.ndim else as_f64(float(first) + 0.0)
     if len(terms) == 2:
         second = as_f64(terms[1])
         if first.shape == second.shape:
@@ -47,12 +50,15 @@ def fsum_arrays(terms: Sequence[Array]) -> Array:
             if np.isfinite(out).all():
                 return out
     stacked = np.stack([as_f64(t) for t in terms])
-    if stacked.ndim == 1:  # 0-d inputs
-        return np.asarray(math.fsum(stacked), dtype=np.float64)
-    flat = stacked.reshape(len(terms), -1)
-    out = np.empty(flat.shape[1], dtype=np.float64)
-    for i in range(flat.shape[1]):
-        out[i] = math.fsum(flat[:, i])
+    try:
+        if stacked.ndim == 1:  # 0-d inputs
+            return np.asarray(math.fsum(stacked), dtype=np.float64)
+        flat = stacked.reshape(len(terms), -1)
+        out = np.empty(flat.shape[1], dtype=np.float64)
+        for i in range(flat.shape[1]):
+            out[i] = math.fsum(flat[:, i])
+    except (OverflowError, ValueError) as exc:
+        raise NonFiniteSum(f"exact sum failed: {exc}") from None
     return out.reshape(first.shape)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .autodiff import arriving, evaluate, forward, pull_back
 from .errors import GraphError
-from .graph import Graph, VertexId, check_params
+from .graph import Graph, VertexId
 from .numerics import Array, as_f64, fsum_arrays
 from .report import UpdateReport, make_report
 
@@ -92,18 +92,18 @@ def init_state(g: Graph, params: Mapping[VertexId, Array],
     clamps the output to ``y`` if given.  ``free`` starts all value
     nodes at zero.
     """
-    check_params(g, params)
+    if y is not None and not math.isfinite(float(y)):
+        raise GraphError(f"target y must be finite, got {y!r}")
     if g.vertices[g.output].is_leaf:
         raise GraphError("predictive-coding state needs a non-leaf output")
+    if mode not in ("zero_error", "free"):
+        raise GraphError(f"unknown init mode {mode!r}")
+    trace = forward(g, params)  # checks params; shapes only for "free"
     zeta = {vid: as_f64(params[vid]).copy() for vid in g.leaves}
     if mode == "zero_error":
-        trace = forward(g, params)
         x = {vid: trace.mu[vid].copy() for vid in g.internal_ids}
-    elif mode == "free":
-        trace = forward(g, params)  # shapes only
-        x = {vid: np.zeros_like(trace.mu[vid]) for vid in g.internal_ids}
     else:
-        raise GraphError(f"unknown init mode {mode!r}")
+        x = {vid: np.zeros_like(trace.mu[vid]) for vid in g.internal_ids}
     if y is not None:
         if trace.mu[g.output].shape != ():
             raise GraphError("clamping needs a scalar output vertex")
@@ -116,6 +116,11 @@ def init_state(g: Graph, params: Mapping[VertexId, Array],
     mu = {vid: trace.mu[vid] for vid in g.internal_ids}
     eps = {vid: x[vid] - mu[vid] for vid in x}
     return PCState(x=x, mu=mu, eps=eps, t=0, params=zeta, clamp=clamp)
+
+
+def relax(x: Array, eps: Array, terms: list[Array], gamma: float) -> Array:
+    """The value-node rule: x + gamma * (-eps + sum of the arriving ``terms``)."""
+    return x + gamma * fsum_arrays([-eps, *terms])
 
 
 def inference_step(state: PCState, g: Graph, gamma: float) -> PCState:
@@ -134,8 +139,8 @@ def inference_step(state: PCState, g: Graph, gamma: float) -> PCState:
         if state.clamp is not None and vid == g.output:
             new_x[vid] = state.x[vid]
             continue
-        terms = [-state.eps[vid], *arriving(g, vid, pulls)]
-        new_x[vid] = state.x[vid] + gamma * fsum_arrays(terms)
+        new_x[vid] = relax(state.x[vid], state.eps[vid],
+                           arriving(g, vid, pulls), gamma)
     return _with_values(g, new_x, state.params, state.t + 1, state.clamp)
 
 

@@ -1,4 +1,4 @@
-"""Graph persistence: the JSON schema and DOT export.
+"""Graph persistence: the JSON schema (read and written) and DOT export.
 
 Schema (``format: "pcgraph-v1"``)::
 
@@ -28,12 +28,63 @@ import json
 from pathlib import Path
 from typing import Mapping
 
+from . import functions as fns
 from .errors import GraphError
-from .functions import FnKind
-from .graph import Graph, VertexId, build_graph
+from .functions import ElemFn, FnKind
+from .graph import Graph, TieGroup, Vertex, VertexId
 from .numerics import Array, as_f64
 
 FORMAT = "pcgraph-v1"
+
+
+def build_graph(description: Mapping) -> Graph:
+    """Build a graph from its plain-dict description (the JSON schema).
+
+    Expected keys: ``output`` (int), ``vertices`` (list of vertex
+    records), optional ``tie_groups``.  See the README for the schema.
+    Parameter values under ``params`` are ignored here; the serializer
+    returns them separately.
+    """
+    try:
+        records = list(description["vertices"])
+        output = int(description["output"])
+        by_id: dict[int, Mapping] = {}
+        for rec in records:
+            vid = int(rec["id"])
+            if vid in by_id:
+                raise GraphError(f"duplicate vertex id {vid}")
+            by_id[vid] = rec
+        if set(by_id) != set(range(len(by_id))):
+            raise GraphError("vertex ids must be dense 0..n-1")
+        vertices = []
+        for vid in range(len(by_id)):
+            rec = by_id[vid]
+            if rec.get("leaf"):
+                vertices.append(Vertex(
+                    vid, None, (), True,
+                    rec.get("tie_group"), bool(rec.get("trainable", True)),
+                    rec.get("name")))
+                continue
+            kind = FnKind(rec["kind"])
+            children = tuple(int(c) for c in rec.get("children", ()))
+            if kind is FnKind.CONSTANT:
+                fn = fns.constant(rec["value"])
+            elif kind is FnKind.ACTIVATION:
+                fn = fns.activation(rec["activation"])
+            else:
+                arity = fns.KINDS[kind].arity
+                fn = ElemFn(kind, int(rec.get("arity", len(children)))
+                            if arity is None else arity)
+            vertices.append(Vertex(vid, fn, children, False, None, True,
+                                   rec.get("name")))
+        groups = tuple(
+            TieGroup(str(rec["id"]), tuple(int(m) for m in rec["members"]),
+                     as_f64(rec["value"]) if "value" in rec else None)
+            for rec in description.get("tie_groups", ()))
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise GraphError(f"malformed graph description: {exc!r}") from exc
+    return Graph(vertices, output, groups)
 
 
 def graph_to_dict(g: Graph, params: Mapping[VertexId, Array] | None = None) -> dict:
@@ -79,7 +130,7 @@ def graph_from_dict(d: Mapping) -> tuple[Graph, dict[VertexId, Array] | None]:
     if "params" in d:
         try:
             params = {int(k): as_f64(v) for k, v in d["params"].items()}
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed params: {exc!r}") from exc
     return g, params
 

@@ -25,17 +25,15 @@ Two schedule variants:
   generally wrong on graphs with unequal path lengths, which is the
   failure the leveller repairs.
 
-Two engines run a schedule, chosen from the run's inputs:
-
-* the wavefront engine, when the graph is levelled, the start is
-  zero-error, no trace is recorded, and every leaf is read at
-  level(leaf) - 1 (``level_structured``, ``layer_indexed`` on a
-  levelled graph, the ``gamma_half`` ablation).  Step t pulls back
-  only through level t, so a run costs about one reverse pass;
-* the dense engine otherwise (traced runs, unlevelled graphs, the
-  ``no_level_schedule`` and ``nonzero_init_error`` ablations).  It
-  relaxes every value node at every step and is the oracle the
-  wavefront engine matches byte for byte.
+Two engines run a schedule, chosen from the run's inputs.  The
+wavefront engine is one reverse sweep (:func:`autodiff.reverse_sweep`,
+the walk backprop takes) in which a value node settles to the error
+relax(x0, eps0, arriving, gamma) - mu where backprop sums.  It runs
+when the graph is levelled, the start is zero-error, no trace is
+recorded and every leaf is read at level(leaf) - 1.  The dense engine
+relaxes every value node at every step; it runs the rest (traced runs,
+unlevelled graphs, ``no_level_schedule``, ``nonzero_init_error``) and
+is the oracle the sweep matches byte for byte.
 """
 
 from __future__ import annotations
@@ -46,11 +44,12 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .autodiff import arriving, evaluate, pull_back
+from .autodiff import arriving, evaluate, pull_back, reverse_sweep
 from .errors import BadGamma, GraphError, NotLevelled
-from .graph import Graph, LevelStructure, VertexId, level_structure, min_distances
+from .graph import Graph, VertexId, level_structure, min_distances
 from .numerics import Array, as_f64, fsum_arrays
-from .pc import PCState, _with_values, extract_updates, inference_step, init_state
+from .pc import (PCState, _with_values, extract_updates, inference_step,
+                 init_state, relax)
 from .report import UpdateReport, make_report
 
 Variant = Literal["level_structured", "layer_indexed"]
@@ -122,18 +121,11 @@ def _run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
                   lr: float, schedule: ZilSchedule, *,
                   init_perturbation: float = 0.0,
                   record_trace: bool = True) -> tuple[dict[VertexId, Array], ZilTrace, float]:
-    """Run a schedule on the wavefront engine when its inputs allow, else dense.
-
-    The wavefront engine needs a levelled graph, a zero-error start, no
-    recorded trace, and every leaf read at level(leaf) - 1; both engines
-    give the same bytes there.
-    """
+    """Run a schedule on the wavefront engine when its inputs allow, else dense."""
     start = time.perf_counter()
-    structure = None
-    if init_perturbation == 0.0 and not record_trace:
-        structure = _wavefront_levels(g, schedule)
-    if structure is not None:
-        per_leaf = _wavefront(g, structure, params, y, lr, schedule)
+    if (init_perturbation == 0.0 and not record_trace
+            and _reads_at_levels(g, schedule)):
+        per_leaf = _wavefront(g, params, y, lr, schedule.gamma)
         snapshots: tuple[PCState, ...] = ()
     else:
         per_leaf, snapshots = _dense(g, params, y, lr, schedule,
@@ -143,16 +135,14 @@ def _run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
     return per_leaf, trace, time.perf_counter() - start
 
 
-def _wavefront_levels(g: Graph, schedule: ZilSchedule) -> LevelStructure | None:
-    """The graph's levels if every leaf is read at level(leaf) - 1, else None."""
+def _reads_at_levels(g: Graph, schedule: ZilSchedule) -> bool:
+    """Whether the graph is levelled and every leaf is read at level(leaf) - 1."""
     try:
-        structure = level_structure(g)
+        levels = level_structure(g).levels
     except NotLevelled:
-        return None
-    if all(when == structure.levels[v] - 1
-           for v, when in schedule.update_times.items()):
-        return structure
-    return None
+        return False
+    return all(when == levels[v] - 1
+               for v, when in schedule.update_times.items())
 
 
 def _dense(g: Graph, params: Mapping[VertexId, Array], y: float, lr: float,
@@ -175,38 +165,29 @@ def _dense(g: Graph, params: Mapping[VertexId, Array], y: float, lr: float,
     return per_leaf, tuple(snapshots)
 
 
-def _wavefront(g: Graph, structure: LevelStructure,
-               params: Mapping[VertexId, Array], y: float, lr: float,
-               schedule: ZilSchedule) -> dict[VertexId, Array]:
-    """Step t pulls back only through the internal vertices at level t.
+def _wavefront(g: Graph, params: Mapping[VertexId, Array], y: float,
+               lr: float, gamma: float) -> dict[VertexId, Array]:
+    """One reverse sweep whose internal vertices settle by the Z-IL rule.
 
-    By the quiet window (see :func:`check_quiet_window`) every vertex
-    below level t still holds its initial value and zero error at step
-    t, so the level-t errors left by step t-1 are all the step needs.
-    One pull set serves the leaves due at t and advances level t+1.
-    The arithmetic is the dense step's: a quiet value node presents
-    x0 at t = 0 and x0 + 0.0 afterwards (the dense step adds +0.0 to
-    it), and a vertex reached by the wavefront takes
-    x + gamma * fsum([-eps0, *arriving]) with eps = x - mu.
+    By the quiet window (see :func:`check_quiet_window`) a vertex at
+    level k still holds x0 when the wavefront reaches it at step k - 1,
+    and so does everything below it; so the error it settles to is
+    relax(x0, eps0, arriving, gamma) - mu(x0 of its children), and a
+    leaf reads its arriving pulls.  To match the dense steps byte for
+    byte, the output's children present x0 (read at t = 0) and every
+    other value node x0 + 0.0 (the dense step adds +0.0 to quiet nodes).
     """
     state = init_state(g, params, y, "zero_error")
-    values = {**state.params, **state.x}  # what each vertex presents at t
-    eps = {g.output: state.eps[g.output]}  # errors of the level-t vertices
-    per_leaf: dict[VertexId, Array] = {}
-    for t in range(schedule.steps):
-        pulls = {j: pull_back(g, j, values, e) for j, e in eps.items()}
-        for vid in schedule.leaves_at(t):
-            per_leaf[vid] = lr * fsum_arrays(arriving(g, vid, pulls))
-        if t == schedule.steps - 1:
-            break
-        front = [v for v in structure.members(t + 1) if g.vertices[v].children]
-        new_x = {v: values[v] + schedule.gamma * fsum_arrays(
-                     [-state.eps[v], *arriving(g, v, pulls)]) for v in front}
-        if t == 0:
-            values = {**state.params,
-                      **{v: x + 0.0 for v, x in state.x.items()}}
-        eps = {v: new_x[v] - evaluate(g, v, values) for v in front}
-    return per_leaf
+    raw = set(g.vertices[g.output].children)  # read at t = 0
+    values = {**state.params,
+              **{v: x if v in raw else x + 0.0 for v, x in state.x.items()}}
+
+    def settle(vid: VertexId, terms: list[Array]) -> Array:
+        return (relax(values[vid], state.eps[vid], terms, gamma)
+                - evaluate(g, vid, values))
+
+    signal = reverse_sweep(g, values, state.eps[g.output], settle)
+    return {v: lr * signal[v] for v in g.trainable_leaves()}
 
 
 def _perturb(state: PCState, g: Graph, amount: float) -> PCState:
@@ -254,25 +235,20 @@ def zil_ablate(g: Graph, params: Mapping[VertexId, Array], y: float,
     ``gamma_half`` attenuates the error propagation.  Each one breaks
     the equivalence on any multi-level graph.
     """
-    base = make_schedule(g, "level_structured")
+    schedule = base = make_schedule(g, "level_structured")
     if which == "no_level_schedule":
         last = base.steps - 1
         schedule = ZilSchedule(variant="ablate/no_level_schedule",
                                gamma=1.0, steps=base.steps,
                                update_times={v: last for v in base.update_times})
-        per_leaf, _trace, elapsed = _run_schedule(
-            g, params, y, lr, schedule, record_trace=False)
-    elif which == "nonzero_init_error":
-        per_leaf, _trace, elapsed = _run_schedule(
-            g, params, y, lr, base, init_perturbation=perturbation,
-            record_trace=False)
     elif which == "gamma_half":
         schedule = make_schedule(g, "level_structured", gamma=0.5,
                                  allow_bad_gamma=True)
-        per_leaf, _trace, elapsed = _run_schedule(
-            g, params, y, lr, schedule, record_trace=False)
-    else:
+    elif which != "nonzero_init_error":
         raise GraphError(f"unknown ablation {which!r}")
+    shift = perturbation if which == "nonzero_init_error" else 0.0
+    per_leaf, _trace, elapsed = _run_schedule(
+        g, params, y, lr, schedule, init_perturbation=shift, record_trace=False)
     return make_report(g, f"zil/{which}", per_leaf,
                        wall_time=elapsed, steps=base.steps)
 

@@ -13,6 +13,7 @@ from pcgraph.autodiff import (
     grad_check,
     gradient_rows,
     loss_value,
+    reverse_sweep,
 )
 from pcgraph.errors import DomainError, GraphError, ShapeMismatch
 from pcgraph.graph import GraphBuilder
@@ -100,6 +101,38 @@ def test_shared_subexpression_accumulates_both_paths():
     g = b.build(out)
     rep = backprop(g, {z: np.asarray(3.0)}, y=0.0, lr=1.0)
     assert float(rep.delta[z]) == 9.0 * 2.0 * 3.0
+
+
+@pytest.mark.parametrize("y", [float("inf"), float("-inf"), float("nan")])
+def test_backprop_rejects_a_non_finite_target(y):
+    g, params = nested_root_graph()
+    with pytest.raises(GraphError, match="finite"):
+        backprop(g, params, y=y)
+
+
+def test_backprop_rejects_a_non_finite_param():
+    g, params = nested_root_graph()
+    bad = {**params, min(g.leaves): np.asarray(np.inf)}
+    with pytest.raises(GraphError, match="non-finite"):
+        backprop(g, bad, y=4.0)
+
+
+def test_reverse_sweep_settles_internal_vertices_and_sums_at_leaves():
+    g, params = models.build_model(models.ModelSpec("skipchain"))
+    trace = forward(g, params)
+    settled = []
+
+    def settle(vid, terms):
+        settled.append(vid)
+        return fsum_arrays(terms)
+
+    seed = trace.mu[g.output] - 1.0
+    signal = reverse_sweep(g, trace.mu, seed, settle)
+    assert sorted(settled) == [v for v in g.internal_ids if v != g.output]
+    rep = backprop(g, params, y=1.0)
+    assert list(signal) == list(rep.delta)
+    for vid, delta in rep.delta.items():
+        assert signal[vid].tobytes() == delta.tobytes()
 
 
 def test_non_scalar_output_rejected():

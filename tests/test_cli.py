@@ -52,6 +52,42 @@ def test_malformed_graph_file_is_a_usage_error(tmp_path, capsys, description):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"output": 1e400, "vertices": [{"id": 0, "leaf": true}]}',
+    '{"output": 0, "vertices": [{"id": 1e400, "leaf": true}]}',
+], ids=["output", "vertex-id"])
+def test_overflowing_graph_ids_are_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["level", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_grad_check_rejects_a_non_finite_param(tmp_path, capsys):
+    g, params = build_model(ModelSpec("skipchain"))
+    path = tmp_path / "inf.json"
+    serial.save_graph(path, g, {**params, g.trainable_leaves()[0]: 1e400})
+    assert main(["grad-check", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_grad_check_fails_when_a_finite_param_overflows(tmp_path, capsys):
+    g, params = build_model(ModelSpec("sqrtsquare"))
+    path = tmp_path / "huge.json"
+    serial.save_graph(path, g, {**params, max(g.leaves): 1e300})
+    assert main(["grad-check", "--graph", str(path)]) == 1
+    assert "FAILED: max relative error nan" in capsys.readouterr().err
+
+
+def test_grad_check_rejects_a_non_finite_target(skipchain_file, capsys):
+    assert main(["grad-check", "--graph", str(skipchain_file), "--y", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
 def test_export_dot(skipchain_file, capsys):
     assert main(["export-dot", "--graph", str(skipchain_file)]) == 0
     out = capsys.readouterr().out

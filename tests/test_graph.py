@@ -20,7 +20,6 @@ from pcgraph.graph import (
     GraphBuilder,
     TieGroup,
     Vertex,
-    build_graph,
     check_params,
     level_structure,
     min_distances,
@@ -29,6 +28,7 @@ from pcgraph.graph import (
     topological_sort,
 )
 from pcgraph.leveller import audit_paths
+from pcgraph.serial import build_graph
 
 
 def chain_graph():
@@ -149,6 +149,14 @@ def test_undeclared_tie_group_rejected():
         Graph(vs, 0)
 
 
+def test_untrainable_tie_group_member_rejected():
+    vs = [Vertex(0, fns.add(), (1, 2), False),
+          Vertex(1, None, (), True, "k"),
+          Vertex(2, None, (), True, "k", trainable=False)]
+    with pytest.raises(BadTieGroup, match="member 2 is not trainable"):
+        Graph(vs, 0, [TieGroup("k", (1, 2))])
+
+
 def test_leaf_in_two_groups_rejected():
     vs = [Vertex(0, fns.add(), (1, 1), False),
           Vertex(1, None, (), True, "a")]
@@ -250,7 +258,27 @@ def test_check_params_tie_disagreement():
     check_params(g, {k1: np.asarray(1.0), k2: np.asarray(1.0)})
 
 
-# -- plain-dict construction ----------------------------------------------
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_check_params_rejects_non_finite_values(bad):
+    b = GraphBuilder()
+    k1 = b.leaf(tie_group="k")
+    k2 = b.leaf(tie_group="k")
+    w = b.leaf()
+    x = b.leaf(trainable=False)
+    g = b.build(b.vertex(fns.add(4), [k1, k2, w, x]))
+    ok = {k1: np.asarray(1.0), k2: np.asarray(1.0), w: np.array([2.0, 3.0]),
+          x: np.asarray(4.0)}
+    check_params(g, ok)
+    for leaf in (w, x):
+        value = ok[leaf].copy()
+        value.flat[-1] = bad
+        with pytest.raises(GraphError, match=f"non-finite value for leaf {leaf}"):
+            check_params(g, {**ok, leaf: value})
+    with pytest.raises(GraphError, match="non-finite value for tie group 'k'"):
+        check_params(g, {**ok, k1: np.asarray(bad), k2: np.asarray(bad)})
+
+
+# -- plain-dict construction (pcgraph.serial.build_graph) -----------------
 
 def test_build_graph_from_description():
     desc = {
@@ -301,6 +329,8 @@ def test_build_graph_with_tie_groups():
     {"output": "top", "vertices": []},
     {"output": 0, "vertices": [7]},
     [{"id": 0, "leaf": True}],
+    {"output": float("inf"), "vertices": [{"id": 0, "leaf": True}]},
+    {"output": 0, "vertices": [{"id": float("inf"), "leaf": True}]},
 ])
 def test_build_graph_rejects_malformed_descriptions(desc):
     with pytest.raises(GraphError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pcgraph.errors import GraphError, NonFiniteSum
 from pcgraph.numerics import (
     angle_degrees,
     as_f64,
@@ -51,12 +52,31 @@ def test_fsum_arrays_two_terms_match_math_fsum_bytes():
         assert out.shape == () and out.tobytes() == want.tobytes()
 
 
+def test_fsum_arrays_one_term_matches_math_fsum_bytes():
+    """A lone -0.0 sums to 0.0, as ``math.fsum([-0.0])`` does."""
+    values = [0.0, -0.0, 5e-324, -1.0]
+    expected = np.array([math.fsum([x]) for x in values])
+    assert fsum_arrays([np.array(values)]).tobytes() == expected.tobytes()
+    for x, want in zip(values, expected):
+        out = fsum_arrays([np.asarray(x)])
+        assert out.shape == () and out.tobytes() == want.tobytes()
+
+
 def test_fsum_arrays_two_terms_still_raise_on_overflow_and_inf_minus_inf():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OverflowError):
             fsum_arrays([np.array([1.0, 1e308]), np.array([2.0, 1e308])])
         with pytest.raises(ValueError):
             fsum_arrays([np.asarray(np.inf), np.asarray(-np.inf)])
+
+
+def test_fsum_arrays_failures_are_graph_errors():
+    with np.errstate(over="ignore", invalid="ignore"):
+        for terms in ([np.asarray(1e308), np.asarray(1e308)],
+                      [np.asarray(np.inf), np.asarray(-np.inf), np.asarray(1.0)]):
+            with pytest.raises(NonFiniteSum) as exc:
+                fsum_arrays(terms)
+            assert isinstance(exc.value, GraphError)
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,

@@ -73,6 +73,13 @@ def test_init_rejects_unknown_mode():
         init_state(g, params, y=4.0, mode="warm")
 
 
+@pytest.mark.parametrize("y", [float("inf"), float("nan")])
+def test_init_rejects_a_non_finite_target(y):
+    g, params = fig_one()
+    with pytest.raises(GraphError, match="finite"):
+        init_state(g, params, y=y)
+
+
 def test_node_value_reads_leaves_from_params():
     g, params = fig_one()
     state = init_state(g, params, y=4.0)

@@ -6,7 +6,7 @@ import pytest
 from pcgraph import functions as fns
 from pcgraph import models
 from pcgraph.autodiff import backprop
-from pcgraph.errors import BadGamma, GraphError, NotLevelled
+from pcgraph.errors import BadGamma, DomainError, GraphError, NotLevelled
 from pcgraph.graph import GraphBuilder, level_structure
 from pcgraph.leveller import level
 from pcgraph.pc import PCState
@@ -190,6 +190,23 @@ def test_trace_can_be_disabled():
     g, params, _w1, _w2 = two_level_chain()
     _rep, trace = zil_train_step(g, params, y=31.0, record_trace=False)
     assert trace.snapshots == ()
+
+
+def test_untraced_run_raises_where_the_reverse_pass_raises():
+    """The wavefront sweep pulls back through every internal vertex, as
+    BP does, so a sqrt of a zero data input below the only trainable
+    leaf stops both at the same vertex."""
+    b = GraphBuilder()
+    w = b.leaf()
+    x = b.leaf(trainable=False)
+    root = b.vertex(fns.sqrt(), [x])
+    g = b.build(b.vertex(fns.multiply(), [w, root]))
+    params = {w: np.asarray(2.0), x: np.asarray(0.0)}
+    with pytest.raises(DomainError) as bp_err:
+        backprop(g, params, 1.0)
+    with pytest.raises(DomainError) as zil_err:
+        zil_train_step(g, params, 1.0, record_trace=False)
+    assert bp_err.value.vertex == zil_err.value.vertex == root
 
 
 def test_tied_rnn_matches_reverse_pass():

@@ -13,7 +13,6 @@ arriving contributions — in particular under identity-vertex insertion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -146,7 +145,7 @@ def backprop(g: Graph, params: Mapping[VertexId, Array], y: float,
     delta(output) = mu_out - y; every other vertex accumulates its
     parents' pulled-back signals.  Leaf update: -lr * delta(leaf).
     """
-    if not math.isfinite(float(y)):
+    if not np.isfinite(float(y)):
         raise GraphError(f"target y must be finite, got {y!r}")
     trace = forward(g, params)
     mu_out = _require_scalar_output(g, trace)

@@ -81,8 +81,7 @@ class DomainError(GraphError):
 
 
 class NonFiniteSum(GraphError, OverflowError, ValueError):
-    """An exact sum overflowed or met inf - inf (what ``math.fsum``
-    raises as OverflowError or ValueError): the inputs were too large."""
+    """An exact sum overflowed or met inf - inf, as ``math.fsum`` raises."""
 
 
 class BadGamma(GraphError):

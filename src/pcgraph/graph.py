@@ -325,8 +325,7 @@ def check_params(g: Graph, params: Mapping[VertexId, Array]) -> None:
         if not _all_finite(first):
             raise GraphError(f"non-finite value for tie group {grp.group_id!r}")
         for m in grp.members[1:]:
-            other = as_f64(params[m])
-            if other.shape != first.shape or not (other == first).all():
+            if not np.array_equal(first, as_f64(params[m])):
                 raise BadTieGroup(
                     f"tie group {grp.group_id!r} members disagree at leaf {m}")
 

@@ -32,16 +32,15 @@ def fsum_arrays(terms: Sequence[Array]) -> Array:
     corresponding input components (computed via ``math.fsum``), so the
     result does not depend on the order of ``terms``.
 
-    One term is returned as ``first + 0.0`` and two terms take one array
-    addition: a single IEEE addition is already correctly rounded, and
-    ``+ 0.0`` turns a -0.0 sum into 0.0 as ``math.fsum`` does.  A
-    non-finite two-term result falls back to the per-component loop, so
-    overflow and inf - inf raise there, as :class:`NonFiniteSum`.
+    One or two terms take one array addition, which is already correctly
+    rounded; ``+ 0.0`` turns a -0.0 sum into 0.0 as ``math.fsum`` does.
+    A non-finite two-term result falls back to the per-component loop,
+    where overflow and inf - inf raise :class:`NonFiniteSum`.
     """
     if not terms:
         raise ValueError("fsum_arrays needs at least one term")
     first = as_f64(terms[0])
-    if len(terms) == 1:  # a 0-d sum would come back as a numpy scalar
+    if len(terms) == 1:  # a 0-d term adds as a float, cheaper than a ufunc
         return first + 0.0 if first.ndim else as_f64(float(first) + 0.0)
     if len(terms) == 2:
         second = as_f64(terms[1])

@@ -96,14 +96,15 @@ def init_state(g: Graph, params: Mapping[VertexId, Array],
         raise GraphError(f"target y must be finite, got {y!r}")
     if g.vertices[g.output].is_leaf:
         raise GraphError("predictive-coding state needs a non-leaf output")
-    if mode not in ("zero_error", "free"):
-        raise GraphError(f"unknown init mode {mode!r}")
-    trace = forward(g, params)  # checks params; shapes only for "free"
-    zeta = {vid: as_f64(params[vid]).copy() for vid in g.leaves}
     if mode == "zero_error":
+        trace = forward(g, params)
         x = {vid: trace.mu[vid].copy() for vid in g.internal_ids}
-    else:
+    elif mode == "free":
+        trace = forward(g, params)  # shapes only
         x = {vid: np.zeros_like(trace.mu[vid]) for vid in g.internal_ids}
+    else:
+        raise GraphError(f"unknown init mode {mode!r}")
+    zeta = {vid: as_f64(params[vid]).copy() for vid in g.leaves}  # checked by forward
     if y is not None:
         if trace.mu[g.output].shape != ():
             raise GraphError("clamping needs a scalar output vertex")

@@ -173,14 +173,13 @@ def _wavefront(g: Graph, params: Mapping[VertexId, Array], y: float,
     level k still holds x0 when the wavefront reaches it at step k - 1,
     and so does everything below it; so the error it settles to is
     relax(x0, eps0, arriving, gamma) - mu(x0 of its children), and a
-    leaf reads its arriving pulls.  To match the dense steps byte for
-    byte, the output's children present x0 (read at t = 0) and every
-    other value node x0 + 0.0 (the dense step adds +0.0 to quiet nodes).
+    leaf reads its arriving pulls.  A value node presents x0 + 0.0, as
+    the dense step leaves a quiet node; where the dense engine reads a
+    raw x0 (at t = 0) the two differ at most in the sign of a zero, and
+    the ``+ 0.0`` of every leaf sum removes that.
     """
     state = init_state(g, params, y, "zero_error")
-    raw = set(g.vertices[g.output].children)  # read at t = 0
-    values = {**state.params,
-              **{v: x if v in raw else x + 0.0 for v, x in state.x.items()}}
+    values = {**state.params, **{v: x + 0.0 for v, x in state.x.items()}}
 
     def settle(vid: VertexId, terms: list[Array]) -> Array:
         return (relax(values[vid], state.eps[vid], terms, gamma)

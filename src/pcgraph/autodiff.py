@@ -14,7 +14,7 @@ arriving contributions — in particular under identity-vertex insertion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -61,21 +61,40 @@ def evaluate(g: Graph, vid: VertexId, values: Mapping[VertexId, Array]) -> Array
 
 
 def pull_back(g: Graph, vid: VertexId, values: Mapping[VertexId, Array],
-              upstream: Array) -> tuple[Array, ...]:
-    """Pull ``upstream`` back through vertex ``vid``: one array per child slot.
+              upstream: Array, slots: Collection[int] | None = None
+              ) -> tuple[Array | None, ...]:
+    """Pull ``upstream`` back through vertex ``vid`` onto its child ``slots``.
 
-    Every sweep calls this once per parent and reads the results through
-    :func:`arriving`.
+    One entry per child slot, None where a slot is not asked for (see
+    :meth:`ElemFn.vjp`).  Every sweep calls this once per parent and
+    reads the results through :func:`arriving`.
     """
     v = g.vertices[vid]
     try:
-        return v.fn.vjp([values[c] for c in v.children], upstream)
+        return v.fn.vjp([values[c] for c in v.children], upstream, slots)
     except DomainError as err:
         raise err.at_vertex(vid) from None
 
 
+def pull_onto(g: Graph, vids: Iterable[VertexId],
+              values: Mapping[VertexId, Array],
+              upstream: Mapping[VertexId, Array]
+              ) -> dict[VertexId, tuple[Array | None, ...]]:
+    """Pull every parent of ``vids`` back once, onto the slots that hold them.
+
+    Parents are pulled in ascending id, each with its own ``upstream``;
+    :func:`arriving` then reads the pulls onto any of ``vids``.
+    """
+    slots: dict[VertexId, list[int]] = {}
+    for vid in vids:
+        for p, slot in g.parents[vid]:
+            slots.setdefault(p, []).append(slot)
+    return {p: pull_back(g, p, values, upstream[p], slots[p])
+            for p in sorted(slots)}
+
+
 def arriving(g: Graph, vid: VertexId,
-             pulls: Mapping[VertexId, tuple[Array, ...]]) -> list[Array]:
+             pulls: Mapping[VertexId, tuple[Array | None, ...]]) -> list[Array]:
     """The pulls of ``vid``'s parents onto ``vid``, in (parent, slot) order.
 
     ``pulls`` maps each parent to its :func:`pull_back` result.

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,12 +70,19 @@ class ElemFn:
         """Evaluate the function on its inputs (one array per child slot)."""
         return KINDS[self.kind].forward(self, self._checked(inputs))
 
-    def vjp(self, inputs: Sequence[Array], upstream: Array) -> tuple[Array, ...]:
-        """Pull ``upstream`` (cotangent of the output) back to each input slot.
+    def vjp(self, inputs: Sequence[Array], upstream: Array,
+            slots: Collection[int] | None = None) -> tuple[Array | None, ...]:
+        """Pull ``upstream`` (cotangent of the output) back onto input ``slots``.
 
-        Returns one array per child slot, shaped like that input.
+        Returns one entry per child slot: an array shaped like that input
+        for each slot in ``slots`` (default: every slot), None for the
+        others.  A one-input kind runs its rule whatever is asked, so its
+        domain check holds in every pull.
         """
-        return KINDS[self.kind].vjp(self, self._checked(inputs), as_f64(upstream))
+        want = range(self.arity) if slots is None else slots
+        back = KINDS[self.kind].vjp(self, self._checked(inputs),
+                                    as_f64(upstream), want)
+        return back if self.arity != 1 or 0 in want else (None,)
 
     def _checked(self, inputs: Sequence[Array]) -> tuple[Array, ...]:
         if len(inputs) != self.arity:
@@ -96,13 +103,16 @@ class KindRule(NamedTuple):
 
     ``arity`` is the fixed input count, or None for a variadic kind
     (at least two inputs).  ``forward(fn, ins)`` and
-    ``vjp(fn, ins, upstream)`` receive coerced inputs; ``check(fn, ins)``
-    rejects input shapes the kind cannot take.
+    ``vjp(fn, ins, upstream, want)`` receive coerced inputs; ``vjp``
+    computes the pulls onto the slots in ``want`` and None for the
+    others, and a one-input kind computes its one pull regardless.
+    ``check(fn, ins)`` rejects input shapes the kind cannot take.
     """
 
     arity: int | None
     forward: Callable[[ElemFn, tuple[Array, ...]], Array]
-    vjp: Callable[[ElemFn, tuple[Array, ...], Array], tuple[Array, ...]]
+    vjp: Callable[[ElemFn, tuple[Array, ...], Array, Collection[int]],
+                  tuple[Array | None, ...]]
     check: Callable[[ElemFn, tuple[Array, ...]], None] | None = None
 
 
@@ -113,7 +123,7 @@ def _sqrt(fn, ins):
     return np.sqrt(x)
 
 
-def _sqrt_vjp(fn, ins, u):
+def _sqrt_vjp(fn, ins, u, want):
     x = ins[0]
     if np.any(x <= 0):
         raise DomainError(float(np.min(x)))
@@ -162,36 +172,44 @@ _activation_derivs = {
 
 KINDS: dict[FnKind, KindRule] = {
     FnKind.CONSTANT: KindRule(
-        0, lambda fn, ins: as_f64(fn.value), lambda fn, ins, u: ()),
+        0, lambda fn, ins: as_f64(fn.value), lambda fn, ins, u, want: ()),
     FnKind.ADD: KindRule(
         None, lambda fn, ins: reduce(operator.add, ins),
-        lambda fn, ins, u: tuple(u.copy() for _ in ins), _same_shapes),
+        lambda fn, ins, u, want: tuple([u.copy() if s in want else None
+                                        for s in range(len(ins))]),
+        _same_shapes),
     FnKind.MULTIPLY: KindRule(
         None, lambda fn, ins: reduce(operator.mul, ins),
         # each slot's pull is upstream times every other input
-        lambda fn, ins, u: tuple(reduce(operator.mul, ins[:s] + ins[s + 1:], u)
-                                 for s in range(len(ins))),
+        lambda fn, ins, u, want: tuple([
+            reduce(operator.mul, ins[:s] + ins[s + 1:], u) if s in want else None
+            for s in range(len(ins))]),
         _same_shapes),
+    # ins = (weights, vector)
     FnKind.MATVEC: KindRule(
         2, lambda fn, ins: ins[0] @ ins[1],
-        lambda fn, ins, u: (np.outer(u, ins[1]), ins[0].T @ u), _matvec_shapes),
+        lambda fn, ins, u, want: (np.outer(u, ins[1]) if 0 in want else None,
+                                  ins[0].T @ u if 1 in want else None),
+        _matvec_shapes),
     FnKind.SQUARE: KindRule(
-        1, lambda fn, ins: ins[0] * ins[0], lambda fn, ins, u: (2.0 * ins[0] * u,)),
+        1, lambda fn, ins: ins[0] * ins[0],
+        lambda fn, ins, u, want: (2.0 * ins[0] * u,)),
     FnKind.SQRT: KindRule(1, _sqrt, _sqrt_vjp),
     FnKind.ACTIVATION: KindRule(
         1, lambda fn, ins: _activations[fn.name](ins[0]),
-        lambda fn, ins, u: (_activation_derivs[fn.name](ins[0]) * u,)),
+        lambda fn, ins, u, want: (_activation_derivs[fn.name](ins[0]) * u,)),
     # ins = (kernel, signal)
     FnKind.CONVOLVE1D: KindRule(
         2, lambda fn, ins: np.correlate(ins[1], ins[0], mode="valid"),
-        lambda fn, ins, u: (np.correlate(ins[1], u, mode="valid"),
-                            np.convolve(u, ins[0], mode="full")),
+        lambda fn, ins, u, want: (
+            np.correlate(ins[1], u, mode="valid") if 0 in want else None,
+            np.convolve(u, ins[0], mode="full") if 1 in want else None),
         _convolve1d_shapes),
     FnKind.IDENTITY: KindRule(
-        1, lambda fn, ins: ins[0].copy(), lambda fn, ins, u: (u.copy(),)),
+        1, lambda fn, ins: ins[0].copy(), lambda fn, ins, u, want: (u.copy(),)),
     FnKind.SUM_REDUCE: KindRule(
         1, lambda fn, ins: as_f64(math.fsum(ins[0].ravel().tolist())),
-        lambda fn, ins, u: (np.full_like(ins[0], float(u)),)),
+        lambda fn, ins, u, want: (np.full_like(ins[0], float(u)),)),
 }
 
 

@@ -84,8 +84,10 @@ class Graph:
     Construct through :class:`GraphBuilder` or ``serial.build_graph``;
     direct construction validates too.  Construction also computes the
     graph's plan once: ``order`` (see :func:`topological_sort`),
-    ``internal_ids`` (non-leaf ids, ascending), ``param_keys`` (see
-    :func:`param_keys`) and ``group_by_id``.  The level structure is
+    ``internal_ids`` (non-leaf ids, ascending), ``internal_slots[vid]``
+    (the slots of ``vid`` whose child is internal), the trainable
+    leaves, ``param_keys`` (see :func:`param_keys`) and
+    ``group_by_id``.  The level structure is
     computed on first use by :func:`level_structure` and kept, whether
     it is a partition or a :class:`NotLevelled` outcome.
     """
@@ -108,10 +110,16 @@ class Graph:
         self.order: tuple[VertexId, ...] = self._topological_order()
         self.internal_ids: tuple[VertexId, ...] = tuple(
             v.id for v in self.vertices if not v.is_leaf)
+        self.internal_slots: tuple[tuple[int, ...], ...] = tuple(
+            tuple(s for s, c in enumerate(v.children)
+                  if not self.vertices[c].is_leaf)
+            for v in self.vertices)
+        self._trainable_leaves: tuple[VertexId, ...] = tuple(
+            v for v in self.leaves if self.vertices[v].trainable)
         self.param_keys: tuple[ParamKey, ...] = (
             *(("group", grp.group_id) for grp in self.tie_groups),
-            *(("leaf", v) for v in self.leaves
-              if self.vertices[v].trainable and v not in self.group_of))
+            *(("leaf", v) for v in self._trainable_leaves
+              if v not in self.group_of))
         self._levels: LevelStructure | tuple | None = None  # see level_structure
 
     # -- accessors -------------------------------------------------------
@@ -120,7 +128,7 @@ class Graph:
         return len(self.vertices)
 
     def trainable_leaves(self) -> tuple[VertexId, ...]:
-        return tuple(v for v in self.leaves if self.vertices[v].trainable)
+        return self._trainable_leaves
 
     # -- validation ------------------------------------------------------
 

@@ -32,7 +32,7 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .autodiff import arriving, evaluate, forward, pull_back
+from .autodiff import arriving, evaluate, forward, pull_back, pull_onto
 from .errors import GraphError
 from .graph import Graph, VertexId
 from .numerics import Array, as_f64, fsum_arrays
@@ -129,11 +129,14 @@ def inference_step(state: PCState, g: Graph, gamma: float) -> PCState:
 
     delta_x_i = gamma * (-eps_i + sum_{j in parents(i)} eps_j * dmu_j/dx_i),
     every term read from the time-t state; the clamped output stays put.
+    Each vertex is pulled back onto its internal children only: the
+    leaves read their errors in :func:`extract_updates`.
     """
     if gamma <= 0:
         raise GraphError("inference step size must be positive")
     values = {**state.params, **state.x}  # node_value of every vertex
-    pulls = {jid: pull_back(g, jid, values, state.eps[jid])
+    pulls = {jid: pull_back(g, jid, values, state.eps[jid],
+                            g.internal_slots[jid])
              for jid in g.internal_ids if g.vertices[jid].children}
     new_x: dict[VertexId, Array] = {}
     for vid in state.x:
@@ -160,18 +163,16 @@ def extract_updates(state: PCState, g: Graph, lr: float,
     delta_zeta_i = lr * sum_{j in parents(i)} eps_j * dmu_j/dzeta_i.
     ``only`` restricts the extraction to a subset of trainable leaves
     (the level schedule uses this); default is all trainable leaves.
+    Each parent of a wanted leaf is pulled back once, onto the slots
+    that hold wanted leaves.
     """
-    wanted = set(g.trainable_leaves()) if only is None else set(only)
-    values = {**state.params, **state.x}  # node_value of every vertex
-    pulls = {jid: pull_back(g, jid, values, state.eps[jid])
-             for jid in g.internal_ids
-             if any(c in wanted for c in g.vertices[jid].children)}
-    out: dict[VertexId, Array] = {}
+    wanted = g.trainable_leaves() if only is None else only
     for vid in wanted:
         if not g.parents[vid]:
             raise GraphError(f"leaf {vid} has no parents to read errors from")
-        out[vid] = lr * fsum_arrays(arriving(g, vid, pulls))
-    return out
+    values = {**state.params, **state.x}  # node_value of every vertex
+    pulls = pull_onto(g, wanted, values, state.eps)
+    return {vid: lr * fsum_arrays(arriving(g, vid, pulls)) for vid in wanted}
 
 
 def il_train_step(g: Graph, params: Mapping[VertexId, Array], y: float,

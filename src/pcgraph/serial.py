@@ -37,20 +37,35 @@ from .numerics import Array, as_f64
 FORMAT = "pcgraph-v1"
 
 
+def _integer(value, what: str) -> int:
+    # bool is an int subclass, but JSON true is not an id or a count.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise GraphError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def build_graph(description: Mapping) -> Graph:
     """Build a graph from its plain-dict description (the JSON schema).
 
     Expected keys: ``output`` (int), ``vertices`` (list of vertex
     records), optional ``tie_groups``.  See the README for the schema.
-    Parameter values under ``params`` are ignored here; the serializer
-    returns them separately.
+    Ids, children, members and arities must be integers and ``leaf``
+    and ``trainable`` booleans; nothing is coerced.  Parameter values
+    under ``params`` are ignored here; the serializer returns them
+    separately.
     """
     try:
         records = list(description["vertices"])
-        output = int(description["output"])
+        output = _integer(description["output"], "output")
         by_id: dict[int, Mapping] = {}
         for rec in records:
-            vid = int(rec["id"])
+            vid = _integer(rec["id"], "vertex id")
             if vid in by_id:
                 raise GraphError(f"duplicate vertex id {vid}")
             by_id[vid] = rec
@@ -59,26 +74,28 @@ def build_graph(description: Mapping) -> Graph:
         vertices = []
         for vid in range(len(by_id)):
             rec = by_id[vid]
-            if rec.get("leaf"):
+            if _flag(rec.get("leaf", False), f"vertex {vid} leaf"):
                 vertices.append(Vertex(
-                    vid, None, (), True,
-                    rec.get("tie_group"), bool(rec.get("trainable", True)),
+                    vid, None, (), True, rec.get("tie_group"),
+                    _flag(rec.get("trainable", True), f"vertex {vid} trainable"),
                     rec.get("name")))
                 continue
             kind = FnKind(rec["kind"])
-            children = tuple(int(c) for c in rec.get("children", ()))
+            children = tuple(_integer(c, f"vertex {vid} child")
+                             for c in rec.get("children", ()))
+            arity = _integer(rec.get("arity", len(children)), f"vertex {vid} arity")
             if kind is FnKind.CONSTANT:
                 fn = fns.constant(rec["value"])
             elif kind is FnKind.ACTIVATION:
                 fn = fns.activation(rec["activation"])
             else:
-                arity = fns.KINDS[kind].arity
-                fn = ElemFn(kind, int(rec.get("arity", len(children)))
-                            if arity is None else arity)
+                fixed = fns.KINDS[kind].arity
+                fn = ElemFn(kind, arity if fixed is None else fixed)
             vertices.append(Vertex(vid, fn, children, False, None, True,
                                    rec.get("name")))
         groups = tuple(
-            TieGroup(str(rec["id"]), tuple(int(m) for m in rec["members"]),
+            TieGroup(str(rec["id"]),
+                     tuple(_integer(m, "tie group member") for m in rec["members"]),
                      as_f64(rec["value"]) if "value" in rec else None)
             for rec in description.get("tie_groups", ()))
     except (AttributeError, KeyError, OverflowError, TypeError,

@@ -44,7 +44,7 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .autodiff import arriving, evaluate, pull_back, reverse_sweep
+from .autodiff import arriving, evaluate, pull_onto, reverse_sweep
 from .errors import BadGamma, GraphError, NotLevelled
 from .graph import Graph, VertexId, level_structure, min_distances
 from .numerics import Array, as_f64, fsum_arrays
@@ -294,9 +294,7 @@ def check_wavefront_recursion(trace: ZilTrace, g: Graph, *, tol: float = 1e-9) -
     for t in range(1, len(trace.snapshots)):
         prev, now = trace.snapshots[t - 1], trace.snapshots[t]
         settling = [j for j in structure.members(t) if not g.vertices[j].is_leaf]
-        values = {**prev.params, **prev.x}
-        pulls = {p: pull_back(g, p, values, prev.eps[p])
-                 for p in {p for j in settling for p, _slot in g.parents[j]}}
+        pulls = pull_onto(g, settling, {**prev.params, **prev.x}, prev.eps)
         for jid in settling:
             expected = gamma * fsum_arrays(arriving(g, jid, pulls))
             if not np.allclose(as_f64(now.eps[jid]), expected, atol=tol, rtol=0.0):

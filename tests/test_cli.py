@@ -44,6 +44,8 @@ def test_build_rejects_bad_family(capsys):
                                {"id": 1, "children": [0]}]},
     [{"id": 0, "leaf": True}],
     {"output": 0, "vertices": [{"id": 0, "leaf": True}], "params": [1.0]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": True, "trainable": "false"},
+                               {"id": 1, "kind": "square", "children": [0]}]},
 ])
 def test_malformed_graph_file_is_a_usage_error(tmp_path, capsys, description):
     path = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 """Elementary functions: forward landmarks, vjp vs finite differences, domains."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,7 +117,8 @@ def test_add_vjp_passes_upstream_through():
         assert np.array_equal(o, u)
 
 
-@pytest.mark.parametrize("make,inputs", [
+# One (factory, inputs) case per kind with slots, multiply at two arities.
+VJP_CASES = [
     (lambda: fns.add(), [np.array([1.0, -2.0]), np.array([0.5, 3.0])]),
     (lambda: fns.multiply(), [np.array([1.5, -2.0]), np.array([0.5, 3.0])]),
     (lambda: fns.multiply(3),
@@ -131,13 +134,41 @@ def test_add_vjp_passes_upstream_through():
      [np.array([0.5, -1.0]), np.array([1.0, 2.0, -0.5, 0.3])]),
     (lambda: fns.identity(), [np.array([0.9, -0.2])]),
     (lambda: fns.sum_reduce(), [np.array([0.9, -0.2, 1.1])]),
-])
+]
+
+
+@pytest.mark.parametrize("make,inputs", VJP_CASES)
 def test_vjp_matches_finite_differences(make, inputs):
     fn = make()
     out_shape = fn(inputs).shape
     rng = np.random.default_rng(7)
     upstream = rng.uniform(-1, 1, size=out_shape)
     assert_vjp_close(fn, inputs, upstream)
+
+
+@pytest.mark.parametrize("make,inputs", VJP_CASES)
+def test_vjp_onto_a_slot_subset_is_the_full_vjp_there(make, inputs):
+    fn = make()
+    upstream = np.random.default_rng(3).uniform(-1, 1, size=fn(inputs).shape)
+    full = fn.vjp(inputs, upstream)
+    for k in range(1, fn.arity + 1):
+        for slots in itertools.combinations(range(fn.arity), k):
+            part = fn.vjp(inputs, upstream, slots)
+            assert len(part) == fn.arity
+            for s in range(fn.arity):
+                if s in slots:
+                    assert part[s].dtype == full[s].dtype
+                    assert part[s].shape == full[s].shape
+                    assert part[s].tobytes() == full[s].tobytes(), (slots, s)
+                else:
+                    assert part[s] is None, (slots, s)
+
+
+def test_one_slot_vjp_runs_its_domain_check_whatever_is_asked():
+    for slots in (None, (0,), ()):
+        with pytest.raises(DomainError):
+            fns.sqrt().vjp([np.asarray(0.0)], np.asarray(1.0), slots)
+    assert fns.square().vjp([np.asarray(3.0)], np.asarray(1.0), ()) == (None,)
 
 
 @settings(max_examples=40, deadline=None)

@@ -331,6 +331,36 @@ def test_build_graph_with_tie_groups():
     [{"id": 0, "leaf": True}],
     {"output": float("inf"), "vertices": [{"id": 0, "leaf": True}]},
     {"output": 0, "vertices": [{"id": float("inf"), "leaf": True}]},
+    # nothing is coerced: ids and counts are integers, flags are booleans
+    {"output": 1.7, "vertices": [{"id": 0, "leaf": True},
+                                 {"id": 1, "kind": "square", "children": [0]}]},
+    {"output": True, "vertices": [{"id": 0, "leaf": True},
+                                  {"id": 1, "kind": "square", "children": [0]}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": True},
+                               {"id": 1.9, "kind": "square", "children": [0]}]},
+    {"output": 1, "vertices": [{"id": False, "leaf": True},
+                               {"id": 1, "kind": "square", "children": [0]}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": True},
+                               {"id": 1, "kind": "square", "children": [0.5]}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": True},
+                               {"id": 1, "kind": "square", "children": [False]}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": "no"},
+                               {"id": 1, "kind": "square", "children": [0]}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": 1},
+                               {"id": 1, "kind": "square", "children": [0]}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": True, "trainable": "false"},
+                               {"id": 1, "kind": "square", "children": [0]}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": True, "trainable": 0},
+                               {"id": 1, "kind": "square", "children": [0]}]},
+    {"output": 2, "vertices": [{"id": 0, "leaf": True}, {"id": 1, "leaf": True},
+                               {"id": 2, "kind": "add", "arity": 2.0,
+                                "children": [0, 1]}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": True, "tie_group": "k"},
+                               {"id": 1, "kind": "square", "children": [0]}],
+     "tie_groups": [{"id": "k", "members": [0.0]}]},
+    {"output": 1, "vertices": [{"id": 0, "leaf": True, "tie_group": "k"},
+                               {"id": 1, "kind": "square", "children": [0]}],
+     "tie_groups": [{"id": "k", "members": [False]}]},
 ])
 def test_build_graph_rejects_malformed_descriptions(desc):
     with pytest.raises(GraphError):

@@ -6,18 +6,21 @@ import scipy.optimize
 
 from pcgraph import functions as fns
 from pcgraph import models
-from pcgraph.autodiff import backprop, forward
-from pcgraph.errors import GraphError
+from pcgraph.autodiff import arriving, backprop, forward, pull_back
+from pcgraph.errors import DomainError, GraphError
 from pcgraph.graph import GraphBuilder
+from pcgraph.numerics import fsum_arrays
 from pcgraph.pc import (
+    _with_values,
     energy,
     extract_updates,
     il_train_step,
     inference_step,
     init_state,
     node_value,
+    relax,
 )
-from pcgraph.report import divergence
+from pcgraph.report import divergence, make_report
 
 
 def fig_one():
@@ -216,6 +219,94 @@ def test_extract_updates_only_subset():
     some = g.trainable_leaves()[:1]
     partial = extract_updates(state, g, lr=0.01, only=set(some))
     assert set(partial) == set(some)
+
+
+# -- pulls onto the slots that are read -----------------------------------
+
+def _all_slots_pulled(state, g):
+    values = {**state.params, **state.x}
+    return {j: pull_back(g, j, values, state.eps[j])
+            for j in g.internal_ids if g.vertices[j].children}
+
+
+def _all_slot_step(state, g, gamma):
+    """``inference_step`` as written before it asked for internal slots only."""
+    pulls = _all_slots_pulled(state, g)
+    new_x = {vid: x if state.clamp is not None and vid == g.output
+             else relax(x, state.eps[vid], arriving(g, vid, pulls), gamma)
+             for vid, x in state.x.items()}
+    return _with_values(g, new_x, state.params, state.t + 1, state.clamp)
+
+
+def _all_slot_updates(state, g, lr, wanted):
+    pulls = _all_slots_pulled(state, g)
+    return {vid: lr * fsum_arrays(arriving(g, vid, pulls)) for vid in wanted}
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("gamma", (0.1, 1.0))
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("family", models.FAMILIES)
+def test_relaxation_and_updates_match_an_all_slot_reference(family, seed, gamma):
+    g, params = models.build_model(models.ModelSpec(family, (), "tanh", seed))
+    y = forward(g, params).output_value(g) + 0.5
+    state = ref = init_state(g, params, y=y)
+    for _ in range(4):
+        state, ref = inference_step(state, g, gamma), _all_slot_step(ref, g, gamma)
+        for field in ("x", "mu", "eps"):
+            got, want = getattr(state, field), getattr(ref, field)
+            assert all(_same_bytes(got[v], want[v]) for v in want), field
+    leaves = g.trainable_leaves()
+    for wanted in (leaves, leaves[::2]):
+        got = extract_updates(state, g, 0.01, only=set(wanted))
+        want = _all_slot_updates(ref, g, 0.01, wanted)
+        assert set(got) == set(wanted)
+        assert all(_same_bytes(got[v], want[v]) for v in wanted)
+    il = il_train_step(g, params, y, lr=0.01, gamma=gamma, T=4)
+    want = make_report(g, "il", _all_slot_updates(ref, g, 0.01, leaves))
+    assert list(il.updates) == list(want.updates)
+    assert all(_same_bytes(il.updates[k], want.updates[k]) for k in want.updates)
+
+
+def test_relaxation_pulls_no_weight_outer_products(monkeypatch):
+    """A relaxation step moves value nodes only; the weights' matvec pulls
+    (outer products) are made once, when the leaves read their errors."""
+    g, params = models.build_model(models.ModelSpec("mlp", (4, 8, 8, 1), "tanh", 0))
+    rule = fns.KINDS[fns.FnKind.MATVEC]
+    weight_pulls = []
+
+    def counting(fn, ins, u, want):
+        back = rule.vjp(fn, ins, u, want)
+        if back[0] is not None:
+            weight_pulls.append(ins[0].shape)
+        return back
+
+    monkeypatch.setitem(fns.KINDS, fns.FnKind.MATVEC, rule._replace(vjp=counting))
+    y = forward(g, params).output_value(g) + 0.5
+    inference_step(init_state(g, params, y=y), g, gamma=0.1)
+    assert weight_pulls == []
+    il_train_step(g, params, y, lr=0.01, gamma=0.1, T=5)
+    weights = {g.vertices[v].children[0] for v in g.internal_ids
+               if g.vertices[v].fn.kind is fns.FnKind.MATVEC}
+    assert len(weights) == 3 and weights <= set(g.trainable_leaves())
+    assert sorted(weight_pulls) == sorted(params[w].shape for w in weights)
+
+
+def test_il_raises_at_a_sqrt_of_zero_below_every_weight():
+    """A relaxation step still pulls back through every internal vertex,
+    so the sqrt of a zero data input stops IL where it stops BP."""
+    b = GraphBuilder()
+    w2, w1 = b.leaf(), b.leaf()
+    x = b.leaf(trainable=False)
+    root = b.vertex(fns.sqrt(), [x])
+    g = b.build(b.vertex(fns.multiply(), [w2, b.vertex(fns.multiply(), [w1, root])]))
+    params = {w2: np.asarray(2.0), w1: np.asarray(3.0), x: np.asarray(0.0)}
+    with pytest.raises(DomainError) as err:
+        il_train_step(g, params, 1.0, gamma=0.1, T=3)
+    assert err.value.vertex == root
 
 
 def test_il_train_step_report_fields():

@@ -209,6 +209,20 @@ def test_untraced_run_raises_where_the_reverse_pass_raises():
     assert bp_err.value.vertex == zil_err.value.vertex == root
 
 
+def test_traced_run_raises_at_a_sqrt_of_zero_below_every_weight():
+    """With two levels of weights the dense engine relaxes once, and that
+    step pulls back through every internal vertex, as BP does."""
+    b = GraphBuilder()
+    w2, w1 = b.leaf(), b.leaf()
+    x = b.leaf(trainable=False)
+    root = b.vertex(fns.sqrt(), [x])
+    g = b.build(b.vertex(fns.multiply(), [w2, b.vertex(fns.multiply(), [w1, root])]))
+    params = {w2: np.asarray(2.0), w1: np.asarray(3.0), x: np.asarray(0.0)}
+    with pytest.raises(DomainError) as err:
+        zil_train_step(g, params, 1.0, record_trace=True)
+    assert err.value.vertex == root
+
+
 def test_tied_rnn_matches_reverse_pass():
     g, params = models.build_model(models.ModelSpec("rnn", (3, 3, 4), "tanh", 11))
     y = 0.25

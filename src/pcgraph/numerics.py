@@ -11,13 +11,16 @@ and after graph transformations that only re-route edges.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NonFiniteSum
 
 Array = np.ndarray
+
+_BLOCK = 4096  # squares converted to Python floats at a time by l2_norm
 
 
 def as_f64(value) -> Array:
@@ -61,17 +64,29 @@ def fsum_arrays(terms: Sequence[Array]) -> Array:
     return out.reshape(first.shape)
 
 
-def l2_norm(values: Iterable[float]) -> float:
-    """Euclidean norm with an order-independent sum of squares."""
-    return math.sqrt(math.fsum(v * v for v in values))
+def l2_norm(values: Array | Sequence[float]) -> float:
+    """Euclidean norm with an order-independent sum of squares.
+
+    The values are squared in one vector pass.  IEEE multiplication gives
+    each square the bits of the Python float product, and a square that
+    overflows is inf there too.
+    """
+    flat = as_f64(values).ravel()
+    with np.errstate(over="ignore"):
+        squares = flat * flat
+    # fsum reads the squares as Python floats a block at a time, so no
+    # list of them all is ever held.
+    blocks = (squares[i:i + _BLOCK].tolist()
+              for i in range(0, squares.size, _BLOCK))
+    return math.sqrt(math.fsum(chain.from_iterable(blocks)))
 
 
 def angle_degrees(a: Array, b: Array) -> float:
     """Angle between two flat vectors, in degrees."""
     a = as_f64(a).ravel()
     b = as_f64(b).ravel()
-    na = l2_norm(a.tolist())
-    nb = l2_norm(b.tolist())
+    na = l2_norm(a)
+    nb = l2_norm(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("angle undefined for zero vectors")
     cos = math.fsum((a * b).tolist()) / (na * nb)

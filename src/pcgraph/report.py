@@ -60,12 +60,12 @@ def divergence(a: UpdateReport | Mapping[ParamKey, Array],
     if list(ua.keys()) != list(ub.keys()):
         raise ShapeMismatch(
             f"parameter keys differ: {list(ua)} vs {list(ub)}")
-    diffs: list[float] = []
+    diffs: list[Array] = []
     for key in ua:
         va = np.asarray(ua[key], dtype=np.float64)
         vb = np.asarray(ub[key], dtype=np.float64)
         if va.shape != vb.shape:
             raise ShapeMismatch(
                 f"shape mismatch at {key}: {va.shape} vs {vb.shape}")
-        diffs.extend((va - vb).ravel().tolist())
-    return l2_norm(diffs)
+        diffs.append((va - vb).ravel())
+    return l2_norm(np.concatenate(diffs) if diffs else diffs)

@@ -31,9 +31,14 @@ the walk backprop takes) in which a value node settles to the error
 relax(x0, eps0, arriving, gamma) - mu where backprop sums.  It runs
 when the graph is levelled, the start is zero-error, no trace is
 recorded and every leaf is read at level(leaf) - 1.  The dense engine
-relaxes every value node at every step; it runs the rest (traced runs,
-unlevelled graphs, ``no_level_schedule``, ``nonzero_init_error``) and
-is the oracle the sweep matches byte for byte.
+runs the rest (traced runs, unlevelled graphs, ``no_level_schedule``,
+``nonzero_init_error``) and is the oracle the sweep matches byte for
+byte.  It steps the relaxation rule of every value node, but recomputes
+only what an input change reaches, and where every leaf is read at
+level(leaf) - 1 on a levelled graph it keeps only the light cone: at
+step t, the internal vertices at level >= t, which is all that the
+reads and the checks below use.  A traced run's snapshots hold that
+region.
 """
 
 from __future__ import annotations
@@ -44,12 +49,11 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .autodiff import arriving, evaluate, pull_onto, reverse_sweep
+from .autodiff import arriving, evaluate, pull_back, pull_onto, reverse_sweep
 from .errors import BadGamma, GraphError, NotLevelled
 from .graph import Graph, VertexId, level_structure, min_distances
 from .numerics import Array, as_f64, fsum_arrays
-from .pc import (PCState, _with_values, extract_updates, inference_step,
-                 init_state, relax)
+from .pc import PCState, _with_values, extract_updates, init_state, relax
 from .report import UpdateReport, make_report
 
 Variant = Literal["level_structured", "layer_indexed"]
@@ -82,7 +86,10 @@ class ZilTrace:
     """Per-step state snapshots plus the recorded per-leaf updates.
 
     ``snapshots[t]`` is the state each step's updates were read from
-    (before that step's relaxation was applied).
+    (before that step's relaxation was applied).  It holds the step's
+    region only: the internal vertices at level >= t when every leaf is
+    read at level(leaf) - 1 on a levelled graph, else every internal
+    vertex.  Arrays that did not change are shared between snapshots.
     """
 
     snapshots: tuple[PCState, ...]
@@ -148,21 +155,92 @@ def _reads_at_levels(g: Graph, schedule: ZilSchedule) -> bool:
 def _dense(g: Graph, params: Mapping[VertexId, Array], y: float, lr: float,
            schedule: ZilSchedule, init_perturbation: float,
            record_trace: bool) -> tuple[dict[VertexId, Array], tuple[PCState, ...]]:
-    """Relax every value node at every step (the oracle engine)."""
+    """Step the schedule by the relaxation rule, recomputing only what changed.
+
+    Each step applies the rule of :func:`pc.inference_step` (its pulls,
+    :func:`pc.relax`, then mu and eps from the new values), but the rule
+    is a pure function, so a quantity whose inputs kept their bytes since
+    the step before keeps its bytes and is not recomputed: a pull when
+    neither its vertex's eps nor a child's value changed, a value node
+    when neither its x nor its eps changed and no parent was pulled
+    again, a prediction when no child's value changed, an error when
+    neither x nor mu did.  Step 0 pulls every vertex back, as backprop
+    does, even in a one-step run, so it raises where backprop raises.
+
+    When the graph is levelled and every leaf is read at level(leaf) - 1,
+    step t also keeps only its light cone, the internal vertices at
+    level >= t: a vertex at level k is updated from levels k - 1, k and
+    k + 1 of the step before, so the region is closed under the rule,
+    and it holds everything the reads and both checks use.  Otherwise
+    the region is every internal vertex.  ``snapshots[t]`` holds the
+    region at step t; an array that did not change is shared with the
+    snapshot before, not copied.
+    """
     state = init_state(g, params, y, "zero_error")
     if init_perturbation != 0.0:
         state = _perturb(state, g, init_perturbation)
+    x, mu, eps = dict(state.x), dict(state.mu), dict(state.eps)
+    values = {**state.params, **x}  # node_value of every vertex
+    cone = level_structure(g).buckets if _reads_at_levels(g, schedule) else None
+    clamped = g.output if state.clamp is not None else None
+    pulls: dict[VertexId, tuple[Array | None, ...]] = {}
+    moved_x = moved_eps = set(x)  # step 0 computes everything
     per_leaf: dict[VertexId, Array] = {}
     snapshots: list[PCState] = []
     for t in range(schedule.steps):
+        now = PCState(x=dict(x), mu=dict(mu), eps=dict(eps), t=t,
+                      params=state.params, clamp=state.clamp)
         if record_trace:
-            snapshots.append(state)
+            snapshots.append(now)
         due = schedule.leaves_at(t)
         if due:
-            per_leaf.update(extract_updates(state, g, lr, only=set(due)))
-        if t < schedule.steps - 1:
-            state = inference_step(state, g, schedule.gamma)
+            per_leaf.update(extract_updates(now, g, lr, only=set(due)))
+        last = t == schedule.steps - 1
+        if last and t > 0:
+            break
+        pulled = sorted(p for p in moved_eps | _parents_of(g, moved_x)
+                        if p in x and g.vertices[p].children)
+        for p in pulled:
+            pulls[p] = pull_back(g, p, values, eps[p], g.internal_slots[p])
+        if last:  # a one-step run pulls only for backprop's domain checks
+            break
+        if cone is not None:
+            for region in (x, mu, eps):
+                for v in cone[t]:
+                    region.pop(v, None)
+        stale = moved_x | moved_eps | {g.vertices[p].children[s]
+                                       for p in pulled
+                                       for s in g.internal_slots[p]}
+        moved_x = set()
+        for v in sorted(stale):
+            if v in x and v != clamped:
+                new = relax(x[v], eps[v], arriving(g, v, pulls),
+                            schedule.gamma)
+                if not _same_bytes(new, x[v]):
+                    x[v] = values[v] = new
+                    moved_x.add(v)
+        moved_mu = set()
+        for v in sorted(p for p in _parents_of(g, moved_x) if p in x):
+            new = evaluate(g, v, values)
+            if not _same_bytes(new, mu[v]):
+                mu[v] = new
+                moved_mu.add(v)
+        moved_eps = set()
+        for v in moved_x | moved_mu:
+            new = x[v] - mu[v]
+            if not _same_bytes(new, eps[v]):
+                eps[v] = new
+                moved_eps.add(v)
     return per_leaf, tuple(snapshots)
+
+
+def _parents_of(g: Graph, vids: set[VertexId]) -> set[VertexId]:
+    return {p for v in vids for p, _slot in g.parents[v]}
+
+
+def _same_bytes(a: Array, b: Array) -> bool:
+    """Equal bytes, not values: a -0.0 that becomes 0.0 is a change."""
+    return a.tobytes() == b.tobytes()
 
 
 def _wavefront(g: Graph, params: Mapping[VertexId, Array], y: float,
@@ -204,7 +282,7 @@ def zil_train_step(g: Graph, params: Mapping[VertexId, Array], y: float,
                    lr: float = 0.01, variant: Variant = "level_structured",
                    *, gamma: float = 1.0, allow_bad_gamma: bool = False,
                    record_trace: bool = True) -> tuple[UpdateReport, ZilTrace]:
-    """One scheduled training step; returns the report and the full trace.
+    """One scheduled training step; returns the report and the trace.
 
     With ``variant="level_structured"`` on a levelled graph this
     reproduces the reverse-pass updates exactly (up to float64
@@ -272,7 +350,7 @@ def check_quiet_window(trace: ZilTrace, g: Graph) -> tuple[bool, list[tuple]]:
         for t, snap in enumerate(trace.snapshots):
             if t >= lvl:
                 break
-            if not np.all(snap.eps[vid] == 0.0):
+            if snap.eps[vid].any():
                 violations.append((vid, t, "eps",
                                    float(np.max(np.abs(snap.eps[vid])))))
             if not np.array_equal(snap.x[vid], first.x[vid]):

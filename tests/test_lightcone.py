@@ -1,0 +1,237 @@
+"""The step engine against the plain relaxation loop, byte for byte.
+
+The step engine (``zil._dense``) recomputes only what an input change
+reaches and, where every leaf is read at level(leaf) - 1 on a levelled
+graph, keeps only the light cone: at step t the internal vertices at
+level >= t.  The oracle below is the loop it replaced: one full
+:func:`pc.inference_step` per step.  Bytes are compared through
+``.tobytes()``, because ``np.array_equal`` treats -0.0 and 0.0 as equal.
+"""
+
+import numpy as np
+import pytest
+
+from pcgraph import functions as fns
+from pcgraph import zil
+from pcgraph.autodiff import backprop, forward
+from pcgraph.errors import DomainError, NotLevelled
+from pcgraph.graph import GraphBuilder, level_structure
+from pcgraph.leveller import level
+from pcgraph.models import FAMILIES, ModelSpec, build_model, random_graph
+from pcgraph.pc import extract_updates, inference_step, init_state
+from pcgraph.zil import (ZilSchedule, ZilTrace, check_quiet_window,
+                         check_wavefront_recursion, make_schedule,
+                         zil_train_step)
+
+LR = 0.01
+PERTURBATION = 0.1
+
+
+def relax_every_step(g, params, y, lr, schedule, init_perturbation):
+    """The oracle: every value node relaxed at every step."""
+    state = init_state(g, params, y, "zero_error")
+    if init_perturbation != 0.0:
+        state = zil._perturb(state, g, init_perturbation)
+    per_leaf, snapshots = {}, []
+    for t in range(schedule.steps):
+        snapshots.append(state)
+        due = schedule.leaves_at(t)
+        if due:
+            per_leaf.update(extract_updates(state, g, lr, only=set(due)))
+        if t < schedule.steps - 1:
+            state = inference_step(state, g, schedule.gamma)
+    return per_leaf, tuple(snapshots)
+
+
+def schedules(g):
+    """(schedule, init perturbation) of every run the suites make on g."""
+    runs = []
+    for variant in ("level_structured", "layer_indexed"):
+        for gamma in (1.0, 0.5):
+            try:
+                runs.append((make_schedule(g, variant, gamma,
+                                           allow_bad_gamma=True), 0.0))
+            except NotLevelled:
+                continue
+    if level_structured := [s for s, _ in runs
+                            if s.variant == "level_structured"]:
+        base = level_structured[0]
+        last = base.steps - 1
+        runs.append((ZilSchedule("ablate/no_level_schedule", 1.0, base.steps,
+                                 {v: last for v in base.update_times}), 0.0))
+        runs.append((base, PERTURBATION))
+    return runs
+
+
+def region(g, schedule, t):
+    if zil._reads_at_levels(g, schedule):
+        levels = level_structure(g).levels
+        return {v for v in g.internal_ids if levels[v] >= t}
+    return set(g.internal_ids)
+
+
+def check_outcomes(trace, g):
+    try:
+        return check_quiet_window(trace, g), check_wavefront_recursion(trace, g)
+    except NotLevelled:
+        return None
+
+
+def assert_run_matches_oracle(g, params, y, schedule, shift=0.0):
+    expected, expected_snaps = relax_every_step(g, params, y, LR,
+                                                schedule, shift)
+    got, snaps = zil._dense(g, params, y, LR, schedule, shift, True)
+    assert list(got) == list(expected)
+    for vid, delta in expected.items():
+        assert got[vid].tobytes() == delta.tobytes(), (schedule, vid)
+    assert len(snaps) == len(expected_snaps) == schedule.steps
+    for t, (snap, full) in enumerate(zip(snaps, expected_snaps)):
+        inside = region(g, schedule, t)
+        assert set(snap.x) == set(snap.mu) == set(snap.eps) == inside
+        for vid in inside:
+            for name in ("x", "mu", "eps"):
+                assert (getattr(snap, name)[vid].tobytes()
+                        == getattr(full, name)[vid].tobytes()), \
+                    (schedule, t, vid, name)
+        assert (snap.t, snap.clamp) == (full.t, full.clamp)
+    assert check_outcomes(ZilTrace(snaps, got, schedule), g) == \
+        check_outcomes(ZilTrace(expected_snaps, expected, schedule), g)
+
+
+def assert_matches_oracle(g, params, y):
+    for schedule, shift in schedules(g):
+        assert_run_matches_oracle(g, params, y, schedule, shift)
+
+
+def target(g, params):
+    return forward(g, params).output_value(g) + 0.5
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_zoo_runs_match_the_oracle_raw_and_levelled(family, seed):
+    g, params = build_model(ModelSpec(family, (), "tanh", seed))
+    y = target(g, params)
+    assert_matches_oracle(g, params, y)
+    lg, _report = level(g)
+    assert_matches_oracle(lg, params, y)
+
+
+def test_random_graphs_match_the_oracle_raw_and_levelled():
+    for seed in range(60):
+        g, params, y = random_graph(seed)
+        assert_matches_oracle(g, params, y)
+        lg, _report = level(g)
+        assert_matches_oracle(lg, params, y)
+
+
+def test_a_deep_recurrent_graph_matches_the_oracle():
+    g, params = build_model(ModelSpec("rnn", (13, 4, 8), "tanh", 0))
+    assert_matches_oracle(g, params, target(g, params))
+
+
+def test_a_negative_zero_that_turns_positive_is_a_change():
+    """A quiet -0.0 value node relaxes to +0.0 at step 1: equal as a value,
+    but a later read sees the sign, so the snapshot must hold +0.0."""
+    b = GraphBuilder()
+    x = b.leaf(trainable=False)
+    w2, w3 = b.leaf(), b.leaf()
+    h = b.vertex(fns.identity(), [x])
+    g = b.build(b.vertex(fns.multiply(),
+                         [w3, b.vertex(fns.multiply(), [w2, h])]))
+    params = {x: np.asarray(-0.0), w2: np.asarray(2.0), w3: np.asarray(3.0)}
+    assert_matches_oracle(g, params, 1.0)
+    _rep, trace = zil_train_step(g, params, 1.0)
+    assert trace.snapshots[0].x[h].tobytes() == np.float64(-0.0).tobytes()
+    assert trace.snapshots[1].x[h].tobytes() == np.float64(0.0).tobytes()
+
+
+def test_a_parent_is_pulled_again_when_only_its_children_moved():
+    """With a huge clamped target, out's error keeps its bytes while its
+    children move, yet its pull onto each child reads the other."""
+    b = GraphBuilder()
+    w1, w2 = b.leaf(), b.leaf()
+    d1, d2 = b.leaf(trainable=False), b.leaf(trainable=False)
+    h1 = b.vertex(fns.multiply(), [w1, d1])
+    h2 = b.vertex(fns.multiply(), [w2, d2])
+    out = b.vertex(fns.multiply(), [h1, h2])
+    g = b.build(out)
+    params = {w1: np.asarray(1.5), w2: np.asarray(0.5), d1: np.asarray(1.0),
+              d2: np.asarray(2.0)}
+    tiny_steps = ZilSchedule("read late", 1e-20, 4, {w1: 3, w2: 3})
+    assert_run_matches_oracle(g, params, 1e17, tiny_steps)
+    _updates, snaps = zil._dense(g, params, 1e17, LR, tiny_steps, 0.0, True)
+    assert snaps[2].eps[out].tobytes() == snaps[1].eps[out].tobytes()
+    assert snaps[2].x[h2].tobytes() != snaps[1].x[h2].tobytes()
+
+
+def test_snapshots_hold_the_light_cone_or_every_internal_vertex():
+    g, params = build_model(ModelSpec("mlp", (3, 4, 4, 1), "tanh", 1))
+    levels = level_structure(g).levels
+    y = target(g, params)
+    _rep, trace = zil_train_step(g, params, y)
+    assert len(trace.snapshots) == trace.schedule.steps
+    for t, snap in enumerate(trace.snapshots):
+        assert set(snap.eps) == {v for v in g.internal_ids if levels[v] >= t}
+    late = make_schedule(g, "level_structured")
+    last = late.steps - 1
+    late = ZilSchedule("read late", 1.0, late.steps,
+                       {v: last for v in late.update_times})
+    _updates, snaps = zil._dense(g, params, y, LR, late, 0.0, True)
+    assert all(set(snap.eps) == set(g.internal_ids) for snap in snaps)
+
+
+def test_unchanged_arrays_are_shared_between_snapshots():
+    g, params = build_model(ModelSpec("rnn", (3, 3, 4), "tanh", 0))
+    _rep, trace = zil_train_step(g, params, target(g, params))
+    first, second = trace.snapshots[:2]
+    below = [v for v in second.x if level_structure(g).levels[v] > 1]
+    assert below
+    assert all(second.x[v] is first.x[v] for v in below)
+
+
+def test_a_traced_deep_recurrent_run_costs_a_few_reverse_passes(monkeypatch):
+    g, params = build_model(ModelSpec("rnn", (13, 4, 8), "tanh", 0))
+    y = target(g, params)
+    calls = []
+    vjp = fns.ElemFn.vjp
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.kind)
+        return vjp(self, *args, **kwargs)
+
+    monkeypatch.setattr(fns.ElemFn, "vjp", counted)
+    backprop(g, params, y, LR)
+    bp_calls = len(calls)
+    calls.clear()
+    zil_train_step(g, params, y, LR)
+    assert bp_calls == 54
+    assert len(calls) < 3 * bp_calls
+
+
+def sqrt_below_the_wavefront():
+    """out = w2 * sqrt(w1 * x): relaxation drives w1 * x negative at t = 2,
+    when the sqrt vertex (level 1) has left the light cone."""
+    b = GraphBuilder()
+    w2, w1 = b.leaf(), b.leaf()
+    x = b.leaf(trainable=False)
+    inner = b.vertex(fns.multiply(), [w1, x])
+    root = b.vertex(fns.sqrt(), [inner])
+    g = b.build(b.vertex(fns.multiply(), [w2, root]))
+    params = {w2: np.asarray(1.0), w1: np.asarray(1.0), x: np.asarray(0.01)}
+    return g, params, root, inner, -10.0
+
+
+def test_a_vertex_that_left_the_light_cone_no_longer_raises():
+    g, params, root, inner, y = sqrt_below_the_wavefront()
+    schedule = make_schedule(g, "level_structured")
+    with pytest.raises(DomainError) as err:
+        relax_every_step(g, params, y, LR, schedule, 0.0)
+    assert err.value.vertex == root
+    rep, trace = zil_train_step(g, params, y, LR)
+    assert float(trace.snapshots[2].x[inner]) < 0.0
+    bp = backprop(g, params, y, LR)
+    for key, delta in bp.updates.items():
+        assert rep.updates[key].tobytes() == delta.tobytes(), key
+    assert check_quiet_window(trace, g) == (True, [])
+    assert check_wavefront_recursion(trace, g)

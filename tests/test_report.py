@@ -1,5 +1,7 @@
 """Update reports: canonical ordering and the divergence metric."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,26 @@ def test_make_report_folds_tie_groups():
     assert list(rep.updates) == [("group", "kernel0"), ("group", "kernel1")]
     assert np.array_equal(rep.updates[("group", "kernel0")],
                           bp.updates[("group", "kernel0")])
+
+
+def test_divergence_has_the_bits_of_a_per_component_sum_of_squares():
+    """The vector pass squares each difference with the same IEEE
+    multiplication as a Python float, overflow to inf included."""
+    def per_component(a, b):
+        diffs = [x - y for k in a for x, y in zip(np.ravel(a[k]).tolist(),
+                                                  np.ravel(b[k]).tolist())]
+        return math.sqrt(math.fsum(v * v for v in diffs))
+
+    rng = np.random.default_rng(0)
+    special = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e200, -1e200,
+                        1.5, np.nan])
+    cases = [(rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n),
+              rng.standard_normal(n)) for n in (1, 7, 10_000)]
+    cases += [(special, np.zeros_like(special)),
+              (special[:-1], special[::-1][1:]),
+              (np.array([-0.0, 5e-324]), np.array([0.0, -5e-324]))]
+    for va, vb in cases:
+        a = {("leaf", 0): va[:1].reshape(()), ("leaf", 1): va[1:]}
+        b = {("leaf", 0): vb[:1].reshape(()), ("leaf", 1): vb[1:]}
+        got, want = divergence(a, b), per_component(a, b)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (va, vb)

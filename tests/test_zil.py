@@ -192,21 +192,38 @@ def test_trace_can_be_disabled():
     assert trace.snapshots == ()
 
 
-def test_untraced_run_raises_where_the_reverse_pass_raises():
-    """The wavefront sweep pulls back through every internal vertex, as
-    BP does, so a sqrt of a zero data input below the only trainable
-    leaf stops both at the same vertex."""
+def sqrt_of_zero_under_the_only_weight():
+    """out = w * sqrt(x) with x = 0.0: one update time, so one step."""
     b = GraphBuilder()
     w = b.leaf()
     x = b.leaf(trainable=False)
     root = b.vertex(fns.sqrt(), [x])
     g = b.build(b.vertex(fns.multiply(), [w, root]))
-    params = {w: np.asarray(2.0), x: np.asarray(0.0)}
+    return g, {w: np.asarray(2.0), x: np.asarray(0.0)}, root
+
+
+def test_untraced_run_raises_where_the_reverse_pass_raises():
+    """The wavefront sweep pulls back through every internal vertex, as
+    BP does, so a sqrt of a zero data input below the only trainable
+    leaf stops both at the same vertex."""
+    g, params, root = sqrt_of_zero_under_the_only_weight()
     with pytest.raises(DomainError) as bp_err:
         backprop(g, params, 1.0)
     with pytest.raises(DomainError) as zil_err:
         zil_train_step(g, params, 1.0, record_trace=False)
     assert bp_err.value.vertex == zil_err.value.vertex == root
+
+
+def test_one_step_traced_run_raises_where_the_reverse_pass_raises():
+    """A one-step run relaxes nothing, yet its step 0 still pulls back
+    through every internal vertex, as BP does."""
+    g, params, root = sqrt_of_zero_under_the_only_weight()
+    assert make_schedule(g, "level_structured").steps == 1
+    with pytest.raises(DomainError) as bp_err:
+        backprop(g, params, 1.0)
+    with pytest.raises(DomainError) as zil_err:
+        zil_train_step(g, params, 1.0, record_trace=True)
+    assert zil_err.value.vertex == bp_err.value.vertex == root
 
 
 def test_traced_run_raises_at_a_sqrt_of_zero_below_every_weight():
@@ -257,6 +274,23 @@ def test_wavefront_checker_detects_corruption():
     assert not ok
     assert any(v[0] == hidden and v[1] == 0 and v[2] == "eps"
                for v in violations)
+
+
+@pytest.mark.parametrize("value, violated", [(np.nan, True), (-0.0, False)])
+def test_quiet_window_reads_a_nan_error_as_a_violation_and_minus_zero_as_quiet(
+        value, violated):
+    g, params, _w1, _w2 = two_level_chain()
+    _rep, trace = zil_train_step(g, params, y=31.0)
+    snap = trace.snapshots[0]
+    hidden = 3  # the mid-chain vertex, level 1
+    tampered = ZilTrace(
+        snapshots=(PCState(snap.x, snap.mu, {**snap.eps, hidden: np.asarray(value)},
+                           snap.t, snap.params, snap.clamp),)
+        + trace.snapshots[1:],
+        updates=trace.updates, schedule=trace.schedule)
+    ok, violations = check_quiet_window(tampered, g)
+    assert ok is not violated
+    assert [v[:3] for v in violations] == ([(hidden, 0, "eps")] if violated else [])
 
 
 def test_one_step_error_recursion_at_settling_time():

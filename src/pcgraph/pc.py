@@ -9,8 +9,10 @@ gradient descent on the energy
     F = 1/2 * sum_internal eps_i^2
 
 with the output value node optionally clamped to a target.  Training
-(inference learning, IL) runs T inference steps and then updates each
-leaf from its parents' settled errors.
+relaxes on one step engine, :func:`relax_schedule`, which reads each
+trainable leaf at the step a :class:`ZilSchedule` names.  Inference
+learning (IL) reads every leaf after T steps; Z-IL (:mod:`.zil`) reads
+each at its level's step.
 
 Conventions pinned here and relied on everywhere else:
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Mapping
 
 import numpy as np
@@ -51,6 +53,28 @@ class PCState:
     t: int
     params: dict[VertexId, Array]
     clamp: float | None
+
+
+@dataclass(frozen=True)
+class ZilSchedule:
+    """When each trainable leaf reads its parents' errors."""
+
+    variant: str
+    gamma: float
+    steps: int
+    update_times: dict[VertexId, int]
+    _due: dict[int, tuple[VertexId, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        due: dict[int, list[VertexId]] = {}
+        for v in sorted(self.update_times):
+            due.setdefault(self.update_times[v], []).append(v)
+        object.__setattr__(self, "_due",
+                           {t: tuple(vs) for t, vs in due.items()})
+
+    def leaves_at(self, t: int) -> tuple[VertexId, ...]:
+        return self._due.get(t, ())
 
 
 @dataclass(frozen=True)
@@ -175,32 +199,97 @@ def extract_updates(state: PCState, g: Graph, lr: float,
     return {vid: lr * fsum_arrays(arriving(g, vid, pulls)) for vid in wanted}
 
 
+def relax_schedule(g: Graph, state: PCState, lr: float,
+                   schedule: ZilSchedule,
+                   cone: tuple[tuple[VertexId, ...], ...] | None,
+                   record_trace: bool
+                   ) -> tuple[dict[VertexId, Array], tuple[PCState, ...]]:
+    """Relax from ``state`` step by step and read each leaf when it is due.
+
+    Step t reads the leaves due at t (:func:`extract_updates`), then
+    applies the rule of :func:`inference_step` (its pulls,
+    :func:`relax`, then mu and eps from the new values); the last step
+    only reads.  The rule is a pure function, so a quantity whose inputs
+    kept their bytes since the step before keeps its bytes and is not
+    recomputed.  Only value nodes are compared, by bytes: a prediction
+    is recomputed when a child's value moved, an error when its x moved
+    or its mu was recomputed, a pull when its vertex's error was
+    recomputed, and a value node when its x moved, its error was
+    recomputed or a parent was pulled.  Step 0 pulls every vertex back,
+    as backprop does, even in a one-step run, so it raises where
+    backprop raises.
+
+    With ``cone`` given, the vertices in ``cone[t]`` leave the region
+    after step t's pulls; the caller vouches that no later step reads
+    them.  ``snapshots[t]`` holds the region at step t when
+    ``record_trace`` is set; an array that was not recomputed is shared
+    with the snapshot before, not copied.
+    """
+    x, mu, eps = dict(state.x), dict(state.mu), dict(state.eps)
+    values = {**state.params, **x}  # node_value of every vertex
+    clamped = g.output if state.clamp is not None else None
+    pulls: dict[VertexId, tuple[Array | None, ...]] = {}
+    changed = set(x)  # vertices whose eps was recomputed; step 0: all
+    per_leaf: dict[VertexId, Array] = {}
+    snapshots: list[PCState] = []
+    for t in range(schedule.steps):
+        due = schedule.leaves_at(t)
+        if record_trace or due:
+            now = PCState(x=dict(x), mu=dict(mu), eps=dict(eps), t=t,
+                          params=state.params, clamp=state.clamp)
+            if record_trace:
+                snapshots.append(now)
+            if due:
+                per_leaf.update(extract_updates(now, g, lr, only=set(due)))
+        last = t == schedule.steps - 1
+        if last and t > 0:
+            break
+        pulled = sorted(p for p in changed if g.vertices[p].children)
+        for p in pulled:
+            pulls[p] = pull_back(g, p, values, eps[p], g.internal_slots[p])
+        if last:  # a one-step run pulls only for backprop's domain checks
+            break
+        if cone is not None:
+            for region in (x, mu, eps):
+                for v in cone[t]:
+                    region.pop(v, None)
+        stale = changed | {g.vertices[p].children[s]
+                           for p in pulled for s in g.internal_slots[p]}
+        moved = set()
+        for v in sorted(stale):
+            if v in x and v != clamped:
+                new = relax(x[v], eps[v], arriving(g, v, pulls),
+                            schedule.gamma)
+                # Bytes, not values: a -0.0 that becomes 0.0 is a change.
+                if new.tobytes() != x[v].tobytes():
+                    x[v] = values[v] = new
+                    moved.add(v)
+        evaluated = sorted({p for v in moved for p, _slot in g.parents[v]
+                            if p in x})
+        for v in evaluated:
+            mu[v] = evaluate(g, v, values)
+        changed = moved.union(evaluated)
+        for v in changed:
+            eps[v] = x[v] - mu[v]
+    return per_leaf, tuple(snapshots)
+
+
 def il_train_step(g: Graph, params: Mapping[VertexId, Array], y: float,
-                  lr: float = 0.01, gamma: float = 0.1, T: int = 20,
-                  settle_tol: float | None = None) -> UpdateReport:
+                  lr: float = 0.01, gamma: float = 0.1,
+                  T: int = 20) -> UpdateReport:
     """Plain inference learning: relax for T steps, then update all leaves.
 
-    With ``settle_tol`` set, relaxation stops early once no value node
-    moved by more than the tolerance (max-norm) in a step; ``T`` then
-    acts as the step budget.
+    A schedule that reads every trainable leaf at step T, run by
+    :func:`relax_schedule` from the zero-error state.
     """
     if T < 1:
         raise GraphError("inference learning needs at least one step")
     start = time.perf_counter()
     state = init_state(g, params, y, "zero_error")
-    steps = 0
-    for _ in range(T):
-        nxt = inference_step(state, g, gamma)
-        steps += 1
-        if settle_tol is not None:
-            moved = max(
-                (float(np.max(np.abs(nxt.x[v] - state.x[v]))) for v in state.x),
-                default=0.0)
-            state = nxt
-            if moved < settle_tol:
-                break
-        else:
-            state = nxt
-    per_leaf = extract_updates(state, g, lr)
+    if gamma <= 0:
+        raise GraphError("inference step size must be positive")
+    schedule = ZilSchedule("il", gamma, T + 1,
+                           {v: T for v in g.trainable_leaves()})
+    per_leaf, _snapshots = relax_schedule(g, state, lr, schedule, None, False)
     return make_report(g, "il", per_leaf,
-                       wall_time=time.perf_counter() - start, steps=steps)
+                       wall_time=time.perf_counter() - start, steps=T)

@@ -30,55 +30,33 @@ wavefront engine is one reverse sweep (:func:`autodiff.reverse_sweep`,
 the walk backprop takes) in which a value node settles to the error
 relax(x0, eps0, arriving, gamma) - mu where backprop sums.  It runs
 when the graph is levelled, the start is zero-error, no trace is
-recorded and every leaf is read at level(leaf) - 1.  The dense engine
-runs the rest (traced runs, unlevelled graphs, ``no_level_schedule``,
+recorded and every leaf is read at level(leaf) - 1.  The step engine,
+:func:`pc.relax_schedule`, which inference learning runs too, runs the
+rest (traced runs, unlevelled graphs, ``no_level_schedule``,
 ``nonzero_init_error``) and is the oracle the sweep matches byte for
-byte.  It steps the relaxation rule of every value node, but recomputes
-only what an input change reaches, and where every leaf is read at
-level(leaf) - 1 on a levelled graph it keeps only the light cone: at
-step t, the internal vertices at level >= t, which is all that the
-reads and the checks below use.  A traced run's snapshots hold that
-region.
+byte.  Where every leaf is read at level(leaf) - 1 on a levelled graph
+it keeps only the light cone: at step t, the internal vertices at
+level >= t, which is all that the reads and the checks below use.  A
+traced run's snapshots hold that region.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Mapping
 
 import numpy as np
 
-from .autodiff import arriving, evaluate, pull_back, pull_onto, reverse_sweep
+from .autodiff import arriving, evaluate, pull_onto, reverse_sweep
 from .errors import BadGamma, GraphError, NotLevelled
 from .graph import Graph, VertexId, level_structure, min_distances
 from .numerics import Array, as_f64, fsum_arrays
-from .pc import PCState, _with_values, extract_updates, init_state, relax
+from .pc import (PCState, ZilSchedule, _with_values, init_state, relax,
+                 relax_schedule)
 from .report import UpdateReport, make_report
 
 Variant = Literal["level_structured", "layer_indexed"]
-
-
-@dataclass(frozen=True)
-class ZilSchedule:
-    """When each trainable leaf reads its parents' errors."""
-
-    variant: str
-    gamma: float
-    steps: int
-    update_times: dict[VertexId, int]
-    _due: dict[int, tuple[VertexId, ...]] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        due: dict[int, list[VertexId]] = {}
-        for v in sorted(self.update_times):
-            due.setdefault(self.update_times[v], []).append(v)
-        object.__setattr__(self, "_due",
-                           {t: tuple(vs) for t, vs in due.items()})
-
-    def leaves_at(self, t: int) -> tuple[VertexId, ...]:
-        return self._due.get(t, ())
 
 
 @dataclass(frozen=True)
@@ -128,7 +106,7 @@ def _run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
                   lr: float, schedule: ZilSchedule, *,
                   init_perturbation: float = 0.0,
                   record_trace: bool = True) -> tuple[dict[VertexId, Array], ZilTrace, float]:
-    """Run a schedule on the wavefront engine when its inputs allow, else dense."""
+    """Run a schedule on the wavefront engine when its inputs allow, else step."""
     start = time.perf_counter()
     if (init_perturbation == 0.0 and not record_trace
             and _reads_at_levels(g, schedule)):
@@ -155,92 +133,20 @@ def _reads_at_levels(g: Graph, schedule: ZilSchedule) -> bool:
 def _dense(g: Graph, params: Mapping[VertexId, Array], y: float, lr: float,
            schedule: ZilSchedule, init_perturbation: float,
            record_trace: bool) -> tuple[dict[VertexId, Array], tuple[PCState, ...]]:
-    """Step the schedule by the relaxation rule, recomputing only what changed.
-
-    Each step applies the rule of :func:`pc.inference_step` (its pulls,
-    :func:`pc.relax`, then mu and eps from the new values), but the rule
-    is a pure function, so a quantity whose inputs kept their bytes since
-    the step before keeps its bytes and is not recomputed: a pull when
-    neither its vertex's eps nor a child's value changed, a value node
-    when neither its x nor its eps changed and no parent was pulled
-    again, a prediction when no child's value changed, an error when
-    neither x nor mu did.  Step 0 pulls every vertex back, as backprop
-    does, even in a one-step run, so it raises where backprop raises.
+    """Run a schedule on the step engine, :func:`pc.relax_schedule`.
 
     When the graph is levelled and every leaf is read at level(leaf) - 1,
-    step t also keeps only its light cone, the internal vertices at
+    step t keeps only its light cone, the internal vertices at
     level >= t: a vertex at level k is updated from levels k - 1, k and
     k + 1 of the step before, so the region is closed under the rule,
     and it holds everything the reads and both checks use.  Otherwise
-    the region is every internal vertex.  ``snapshots[t]`` holds the
-    region at step t; an array that did not change is shared with the
-    snapshot before, not copied.
+    the region is every internal vertex.
     """
     state = init_state(g, params, y, "zero_error")
     if init_perturbation != 0.0:
         state = _perturb(state, g, init_perturbation)
-    x, mu, eps = dict(state.x), dict(state.mu), dict(state.eps)
-    values = {**state.params, **x}  # node_value of every vertex
     cone = level_structure(g).buckets if _reads_at_levels(g, schedule) else None
-    clamped = g.output if state.clamp is not None else None
-    pulls: dict[VertexId, tuple[Array | None, ...]] = {}
-    moved_x = moved_eps = set(x)  # step 0 computes everything
-    per_leaf: dict[VertexId, Array] = {}
-    snapshots: list[PCState] = []
-    for t in range(schedule.steps):
-        now = PCState(x=dict(x), mu=dict(mu), eps=dict(eps), t=t,
-                      params=state.params, clamp=state.clamp)
-        if record_trace:
-            snapshots.append(now)
-        due = schedule.leaves_at(t)
-        if due:
-            per_leaf.update(extract_updates(now, g, lr, only=set(due)))
-        last = t == schedule.steps - 1
-        if last and t > 0:
-            break
-        pulled = sorted(p for p in moved_eps | _parents_of(g, moved_x)
-                        if p in x and g.vertices[p].children)
-        for p in pulled:
-            pulls[p] = pull_back(g, p, values, eps[p], g.internal_slots[p])
-        if last:  # a one-step run pulls only for backprop's domain checks
-            break
-        if cone is not None:
-            for region in (x, mu, eps):
-                for v in cone[t]:
-                    region.pop(v, None)
-        stale = moved_x | moved_eps | {g.vertices[p].children[s]
-                                       for p in pulled
-                                       for s in g.internal_slots[p]}
-        moved_x = set()
-        for v in sorted(stale):
-            if v in x and v != clamped:
-                new = relax(x[v], eps[v], arriving(g, v, pulls),
-                            schedule.gamma)
-                if not _same_bytes(new, x[v]):
-                    x[v] = values[v] = new
-                    moved_x.add(v)
-        moved_mu = set()
-        for v in sorted(p for p in _parents_of(g, moved_x) if p in x):
-            new = evaluate(g, v, values)
-            if not _same_bytes(new, mu[v]):
-                mu[v] = new
-                moved_mu.add(v)
-        moved_eps = set()
-        for v in moved_x | moved_mu:
-            new = x[v] - mu[v]
-            if not _same_bytes(new, eps[v]):
-                eps[v] = new
-                moved_eps.add(v)
-    return per_leaf, tuple(snapshots)
-
-
-def _parents_of(g: Graph, vids: set[VertexId]) -> set[VertexId]:
-    return {p for v in vids for p, _slot in g.parents[v]}
-
-
-def _same_bytes(a: Array, b: Array) -> bool:
-    """Equal bytes, not values: a -0.0 that becomes 0.0 is a change."""
-    return a.tobytes() == b.tobytes()
+    return relax_schedule(g, state, lr, schedule, cone, record_trace)
 
 
 def _wavefront(g: Graph, params: Mapping[VertexId, Array], y: float,
@@ -252,7 +158,7 @@ def _wavefront(g: Graph, params: Mapping[VertexId, Array], y: float,
     and so does everything below it; so the error it settles to is
     relax(x0, eps0, arriving, gamma) - mu(x0 of its children), and a
     leaf reads its arriving pulls.  A value node presents x0 + 0.0, as
-    the dense step leaves a quiet node; where the dense engine reads a
+    a relaxation step leaves a quiet node; where the step engine reads a
     raw x0 (at t = 0) the two differ at most in the sign of a zero, and
     the ``+ 0.0`` of every leaf sum removes that.
     """
@@ -300,15 +206,17 @@ Ablation = Literal["no_level_schedule", "nonzero_init_error", "gamma_half"]
 
 ABLATIONS: tuple[str, ...] = ("no_level_schedule", "nonzero_init_error",
                               "gamma_half")
+PERTURBATION = 0.1  # the nonzero_init_error offset of every value node
 
 
 def zil_ablate(g: Graph, params: Mapping[VertexId, Array], y: float,
-               lr: float = 0.01, which: Ablation = "gamma_half",
-               *, perturbation: float = 0.1) -> UpdateReport:
+               lr: float = 0.01,
+               which: Ablation = "gamma_half") -> UpdateReport:
     """Deliberately violate one exactness condition and report the updates.
 
     ``no_level_schedule`` reads every leaf at the final step;
-    ``nonzero_init_error`` starts the value nodes off their predictions;
+    ``nonzero_init_error`` starts the value nodes ``PERTURBATION`` off
+    their predictions;
     ``gamma_half`` attenuates the error propagation.  Each one breaks
     the equivalence on any multi-level graph.
     """
@@ -323,7 +231,7 @@ def zil_ablate(g: Graph, params: Mapping[VertexId, Array], y: float,
                                  allow_bad_gamma=True)
     elif which != "nonzero_init_error":
         raise GraphError(f"unknown ablation {which!r}")
-    shift = perturbation if which == "nonzero_init_error" else 0.0
+    shift = PERTURBATION if which == "nonzero_init_error" else 0.0
     per_leaf, _trace, elapsed = _run_schedule(
         g, params, y, lr, schedule, init_perturbation=shift, record_trace=False)
     return make_report(g, f"zil/{which}", per_leaf,
@@ -353,7 +261,8 @@ def check_quiet_window(trace: ZilTrace, g: Graph) -> tuple[bool, list[tuple]]:
             if snap.eps[vid].any():
                 violations.append((vid, t, "eps",
                                    float(np.max(np.abs(snap.eps[vid])))))
-            if not np.array_equal(snap.x[vid], first.x[vid]):
+            if (snap.x[vid] is not first.x[vid]
+                    and not np.array_equal(snap.x[vid], first.x[vid])):
                 violations.append((vid, t, "x",
                                    float(np.max(np.abs(snap.x[vid] - first.x[vid])))))
     return not violations, violations

@@ -1,11 +1,13 @@
 """The step engine against the plain relaxation loop, byte for byte.
 
-The step engine (``zil._dense``) recomputes only what an input change
-reaches and, where every leaf is read at level(leaf) - 1 on a levelled
-graph, keeps only the light cone: at step t the internal vertices at
-level >= t.  The oracle below is the loop it replaced: one full
-:func:`pc.inference_step` per step.  Bytes are compared through
-``.tobytes()``, because ``np.array_equal`` treats -0.0 and 0.0 as equal.
+The step engine (:func:`pc.relax_schedule`) recomputes only what an
+input change reaches.  Z-IL runs it through ``zil._dense``, which, where
+every leaf is read at level(leaf) - 1 on a levelled graph, keeps only
+the light cone: at step t the internal vertices at level >= t.
+Inference learning runs it as a schedule that reads every leaf after T
+steps.  The oracle below is one full :func:`pc.inference_step` per
+step.  Bytes are compared through ``.tobytes()``, because
+``np.array_equal`` treats -0.0 and 0.0 as equal.
 """
 
 import numpy as np
@@ -14,11 +16,13 @@ import pytest
 from pcgraph import functions as fns
 from pcgraph import zil
 from pcgraph.autodiff import backprop, forward
-from pcgraph.errors import DomainError, NotLevelled
+from pcgraph.errors import DomainError, GraphError, NotLevelled
 from pcgraph.graph import GraphBuilder, level_structure
 from pcgraph.leveller import level
 from pcgraph.models import FAMILIES, ModelSpec, build_model, random_graph
-from pcgraph.pc import extract_updates, inference_step, init_state
+from pcgraph.pc import (extract_updates, il_train_step, inference_step,
+                        init_state)
+from pcgraph.report import make_report
 from pcgraph.zil import (ZilSchedule, ZilTrace, check_quiet_window,
                          check_wavefront_recursion, make_schedule,
                          zil_train_step)
@@ -98,9 +102,35 @@ def assert_run_matches_oracle(g, params, y, schedule, shift=0.0):
         check_outcomes(ZilTrace(expected_snaps, expected, schedule), g)
 
 
+def il_schedule(g, gamma, T):
+    """Inference learning's schedule: every leaf read after T steps."""
+    return ZilSchedule("il", gamma, T + 1, {v: T for v in g.trainable_leaves()})
+
+
+def assert_il_matches_oracle(g, params, y):
+    for T in (1, 2, 7):
+        for gamma in (0.1, 1.0):
+            try:
+                per_leaf, _snaps = relax_every_step(
+                    g, params, y, LR, il_schedule(g, gamma, T), 0.0)
+            except GraphError as err:
+                with pytest.raises(GraphError) as got:
+                    il_train_step(g, params, y, LR, gamma, T)
+                assert type(got.value) is type(err)
+                assert getattr(got.value, "vertex", None) == \
+                    getattr(err, "vertex", None)
+                continue
+            expected = make_report(g, "il", per_leaf).updates
+            got = il_train_step(g, params, y, LR, gamma, T).updates
+            assert list(got) == list(expected)
+            for key, delta in expected.items():
+                assert got[key].tobytes() == delta.tobytes(), (T, gamma, key)
+
+
 def assert_matches_oracle(g, params, y):
     for schedule, shift in schedules(g):
         assert_run_matches_oracle(g, params, y, schedule, shift)
+    assert_il_matches_oracle(g, params, y)
 
 
 def target(g, params):
@@ -190,9 +220,9 @@ def test_unchanged_arrays_are_shared_between_snapshots():
     assert all(second.x[v] is first.x[v] for v in below)
 
 
-def test_a_traced_deep_recurrent_run_costs_a_few_reverse_passes(monkeypatch):
-    g, params = build_model(ModelSpec("rnn", (13, 4, 8), "tanh", 0))
-    y = target(g, params)
+@pytest.fixture
+def vjp_calls(monkeypatch):
+    """The kinds of every ``ElemFn.vjp`` call made, in order."""
     calls = []
     vjp = fns.ElemFn.vjp
 
@@ -201,12 +231,29 @@ def test_a_traced_deep_recurrent_run_costs_a_few_reverse_passes(monkeypatch):
         return vjp(self, *args, **kwargs)
 
     monkeypatch.setattr(fns.ElemFn, "vjp", counted)
+    return calls
+
+
+def test_a_traced_deep_recurrent_run_costs_a_few_reverse_passes(vjp_calls):
+    g, params = build_model(ModelSpec("rnn", (13, 4, 8), "tanh", 0))
+    y = target(g, params)
     backprop(g, params, y, LR)
-    bp_calls = len(calls)
-    calls.clear()
+    bp_calls = len(vjp_calls)
+    vjp_calls.clear()
     zil_train_step(g, params, y, LR)
     assert bp_calls == 54
-    assert len(calls) < 3 * bp_calls
+    assert len(vjp_calls) < 3 * bp_calls
+
+
+def test_inference_learning_pulls_only_where_an_input_moved(vjp_calls):
+    g, params = build_model(ModelSpec("rnn", (13, 4, 8), "tanh", 0))
+    lg, _report = level(g)
+    y = target(lg, params)
+    relax_every_step(lg, params, y, LR, il_schedule(lg, 0.1, 100), 0.0)
+    oracle_calls = len(vjp_calls)
+    vjp_calls.clear()
+    il_train_step(lg, params, y, LR, 0.1, 100)
+    assert len(vjp_calls) < 0.65 * oracle_calls
 
 
 def sqrt_below_the_wavefront():

@@ -227,7 +227,7 @@ def test_one_step_traced_run_raises_where_the_reverse_pass_raises():
 
 
 def test_traced_run_raises_at_a_sqrt_of_zero_below_every_weight():
-    """With two levels of weights the dense engine relaxes once, and that
+    """With two levels of weights the step engine relaxes once, and that
     step pulls back through every internal vertex, as BP does."""
     b = GraphBuilder()
     w2, w1 = b.leaf(), b.leaf()
@@ -291,6 +291,53 @@ def test_quiet_window_reads_a_nan_error_as_a_violation_and_minus_zero_as_quiet(
     ok, violations = check_quiet_window(tampered, g)
     assert ok is not violated
     assert [v[:3] for v in violations] == ([(hidden, 0, "eps")] if violated else [])
+
+
+def three_level_chain():
+    """out = w3 * (w2 * (w1 * x)); returns the graph, params and the
+    level-2 vertex w1 * x."""
+    b = GraphBuilder()
+    w1, w2, w3 = b.leaf(), b.leaf(), b.leaf()
+    x = b.leaf(trainable=False)
+    low = b.vertex(fns.multiply(), [w1, x])
+    g = b.build(b.vertex(fns.multiply(),
+                         [w3, b.vertex(fns.multiply(), [w2, low])]))
+    params = {w1: np.asarray(3.0), w2: np.asarray(5.0), w3: np.asarray(7.0),
+              x: np.asarray(2.0)}
+    return g, params, low
+
+
+def with_value_node(trace, vid, steps, x, eps=None):
+    """``trace`` with ``vid``'s value node (and error) replaced by ``x``
+    (and ``eps``) in the snapshots of ``steps``."""
+    snaps = tuple(
+        PCState({**s.x, vid: x}, s.mu,
+                s.eps if eps is None else {**s.eps, vid: eps},
+                s.t, s.params, s.clamp) if t in steps else s
+        for t, s in enumerate(trace.snapshots))
+    return ZilTrace(snaps, trace.updates, trace.schedule)
+
+
+def test_quiet_window_reads_a_value_node_moved_ahead_of_its_level():
+    g, params, low = three_level_chain()
+    _rep, trace = zil_train_step(g, params, y=250.0)
+    assert level_structure(g).levels[low] == 2
+    x0 = trace.snapshots[0].x[low]
+    assert trace.snapshots[1].x[low] is x0
+    assert check_quiet_window(with_value_node(trace, low, {1}, x0.copy()), g) \
+        == (True, [])
+    assert check_quiet_window(with_value_node(trace, low, {1}, x0 + 1.0), g) \
+        == (False, [(low, 1, "x", 1.0)])
+
+
+def test_quiet_window_reads_a_shared_nan_value_node_by_its_error():
+    g, params, low = three_level_chain()
+    _rep, trace = zil_train_step(g, params, y=250.0)
+    nan = np.asarray(np.nan)
+    ok, violations = check_quiet_window(
+        with_value_node(trace, low, {0, 1}, nan, nan), g)
+    assert not ok
+    assert [v[:3] for v in violations] == [(low, 0, "eps"), (low, 1, "eps")]
 
 
 def test_one_step_error_recursion_at_settling_time():

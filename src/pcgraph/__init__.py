@@ -12,7 +12,6 @@ algorithms' update vectors to verify it.
 
 from .errors import (
     ArityMismatch,
-    BadGamma,
     BadSpec,
     BadTieGroup,
     CycleDetected,

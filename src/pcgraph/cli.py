@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -28,6 +29,16 @@ from .autodiff import gradient_rows
 from .errors import GraphError
 from .leveller import level
 from .models import FAMILIES, ModelSpec, build_model
+
+
+# Subcommand -> (help, suite run on the experiment config).
+SUITES = {
+    "equiv": ("divergence suite across the model zoo",
+              harness.run_equivalence_suite),
+    "ablate": ("necessity of each exactness condition",
+               harness.run_ablation_suite),
+    "bench": ("wall-time comparison", harness.run_benchmark),
+}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -73,10 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--tolerance", type=float, default=1e-6)
 
-    for name, help_text in (
-            ("equiv", "divergence suite across the model zoo"),
-            ("ablate", "necessity of each exactness condition"),
-            ("bench", "wall-time comparison")):
+    for name, (help_text, _suite) in SUITES.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name == "bench":
@@ -153,6 +161,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "grad-check":
+        if not 0.0 <= args.tolerance < math.inf:
+            raise GraphError("--tolerance must be a finite number >= 0")
         g, params = serial.load_graph(args.graph)
         if params is None:
             raise GraphError("graph file carries no params; re-export with values")
@@ -165,25 +175,10 @@ def _dispatch(args) -> int:
             return 1
         return 0
 
-    if args.command == "equiv":
-        cfg = _config_from(args)
-        rows, code = harness.run_equivalence_suite(cfg)
-        _emit(harness.write_rows(rows, fmt=args.format), args.out)
-        return code
-
-    if args.command == "ablate":
-        cfg = _config_from(args)
-        rows, code = harness.run_ablation_suite(cfg)
-        _emit(harness.write_rows(rows, fmt=args.format), args.out)
-        return code
-
-    if args.command == "bench":
-        cfg = _config_from(args)
-        rows, code = harness.run_benchmark(cfg)
-        _emit(harness.write_rows(rows, fmt=args.format), args.out)
-        return code
-
-    raise AssertionError(args.command)
+    _help, suite = SUITES[args.command]
+    rows, code = suite(_config_from(args))
+    _emit(harness.write_rows(rows, fmt=args.format), args.out)
+    return code
 
 
 if __name__ == "__main__":

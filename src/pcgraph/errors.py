@@ -84,17 +84,6 @@ class NonFiniteSum(GraphError, OverflowError, ValueError):
     """An exact sum overflowed or met inf - inf, as ``math.fsum`` raises."""
 
 
-class BadGamma(GraphError):
-    """An integration step other than 1 was requested for an exact schedule."""
-
-    def __init__(self, gamma):
-        self.gamma = gamma
-        super().__init__(
-            f"gamma={gamma} breaks update exactness; pass the explicit "
-            "ablation flag to run anyway"
-        )
-
-
 class ShapeMismatch(GraphError):
     """Two objects that must agree in structure (keys/shapes) do not."""
 

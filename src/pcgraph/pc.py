@@ -9,10 +9,13 @@ gradient descent on the energy
     F = 1/2 * sum_internal eps_i^2
 
 with the output value node optionally clamped to a target.  Training
-relaxes on one step engine, :func:`relax_schedule`, which reads each
-trainable leaf at the step a :class:`ZilSchedule` names.  Inference
-learning (IL) reads every leaf after T steps; Z-IL (:mod:`.zil`) reads
-each at its level's step.
+runs a :class:`ZilSchedule`, which names the step at which each
+trainable leaf reads its parents' errors, through one runner,
+:func:`run_schedule`.  Inference learning (IL) reads every leaf after
+T steps; Z-IL (:mod:`.zil`) reads each at its level's step.  The
+runner picks the engine: the step engine, :func:`relax_schedule`, or,
+where every leaf is read at level(leaf) - 1 on a levelled graph, one
+reverse sweep, :func:`_wavefront`, that gives the same bytes.
 
 Conventions pinned here and relied on everywhere else:
 
@@ -29,14 +32,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal, Mapping
 
 import numpy as np
 
-from .autodiff import arriving, evaluate, forward, pull_back, pull_onto
-from .errors import GraphError
-from .graph import Graph, VertexId
+from .autodiff import (arriving, evaluate, forward, pull_back, pull_onto,
+                       reverse_sweep)
+from .errors import GraphError, NotLevelled
+from .graph import Graph, VertexId, level_structure
 from .numerics import Array, as_f64, fsum_arrays
 from .report import UpdateReport, make_report
 
@@ -274,22 +278,113 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     return per_leaf, tuple(snapshots)
 
 
+@dataclass(frozen=True)
+class ZilTrace:
+    """Per-step state snapshots plus the recorded per-leaf updates.
+
+    ``snapshots[t]`` is the state each step's updates were read from
+    (before that step's relaxation was applied).  It holds the step's
+    region only: the internal vertices at level >= t when every leaf is
+    read at level(leaf) - 1 on a levelled graph, else every internal
+    vertex.  Arrays that did not change are shared between snapshots.
+    """
+
+    snapshots: tuple[PCState, ...]
+    updates: dict[VertexId, Array]
+    schedule: ZilSchedule
+
+
+def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
+                 lr: float, schedule: ZilSchedule, label: str, *,
+                 shift: float = 0.0, record_trace: bool = False
+                 ) -> tuple[UpdateReport, ZilTrace]:
+    """Run a schedule from the zero-error start, every value node but
+    the clamped output ``shift`` off it, and report its reads.
+
+    The schedule runs on the wavefront engine (:func:`_wavefront`) when
+    every leaf is read at level(leaf) - 1 on a levelled graph, with no
+    shift and no trace; else on the step engine, which then keeps only
+    the light cone: at step t, the internal vertices at level >= t.  A
+    vertex at level k is updated from levels k - 1, k and k + 1 of the
+    step before, so the region is closed under the rule, and it holds
+    everything the reads and the checks of :mod:`.zil` use.
+    """
+    start = time.perf_counter()
+    state = init_state(g, params, y, "zero_error")
+    if schedule.gamma <= 0:
+        raise GraphError("inference step size must be positive")
+    at_levels = _reads_at_levels(g, schedule)
+    if at_levels and shift == 0.0 and not record_trace:
+        per_leaf = _wavefront(g, state, lr, schedule.gamma)
+        snapshots: tuple[PCState, ...] = ()
+    else:
+        if shift != 0.0:
+            state = _perturb(state, g, shift)
+        cone = level_structure(g).buckets if at_levels else None
+        per_leaf, snapshots = relax_schedule(g, state, lr, schedule, cone,
+                                             record_trace)
+    del state  # its copy of every parameter, before the report copies more
+    report = make_report(g, label, per_leaf,
+                         wall_time=time.perf_counter() - start,
+                         steps=schedule.steps)
+    return report, ZilTrace(snapshots, per_leaf, schedule)
+
+
+def _reads_at_levels(g: Graph, schedule: ZilSchedule) -> bool:
+    """Whether the graph is levelled and every leaf is read at level(leaf) - 1."""
+    try:
+        levels = level_structure(g).levels
+    except NotLevelled:
+        return False
+    return all(when == levels[v] - 1
+               for v, when in schedule.update_times.items())
+
+
+def _wavefront(g: Graph, state: PCState, lr: float,
+               gamma: float) -> dict[VertexId, Array]:
+    """One reverse sweep whose internal vertices settle by the Z-IL rule.
+
+    By the quiet window (see :func:`zil.check_quiet_window`) a vertex
+    at level k still holds x0 when the wavefront reaches it at step
+    k - 1, and so does everything below it; so the error it settles to
+    is relax(x0, eps0, arriving, gamma) - mu(x0 of its children), and a
+    leaf reads its arriving pulls.  A value node presents x0 + 0.0, as
+    a relaxation step leaves a quiet node; where the step engine reads a
+    raw x0 (at t = 0) the two differ at most in the sign of a zero, and
+    the ``+ 0.0`` of every leaf sum removes that.
+    """
+    values = {**state.params, **{v: x + 0.0 for v, x in state.x.items()}}
+
+    def settle(vid: VertexId, terms: list[Array]) -> Array:
+        return (relax(values[vid], state.eps[vid], terms, gamma)
+                - evaluate(g, vid, values))
+
+    signal = reverse_sweep(g, values, state.eps[g.output], settle)
+    return {v: lr * signal[v] for v in g.trainable_leaves()}
+
+
+def _perturb(state: PCState, g: Graph, amount: float) -> PCState:
+    """Shift every unclamped internal value node by a constant offset."""
+    new_x = {}
+    for vid, val in state.x.items():
+        if state.clamp is not None and vid == g.output:
+            new_x[vid] = val
+        else:
+            new_x[vid] = val + amount
+    return _with_values(g, new_x, state.params, state.t, state.clamp)
+
+
 def il_train_step(g: Graph, params: Mapping[VertexId, Array], y: float,
                   lr: float = 0.01, gamma: float = 0.1,
                   T: int = 20) -> UpdateReport:
     """Plain inference learning: relax for T steps, then update all leaves.
 
     A schedule that reads every trainable leaf at step T, run by
-    :func:`relax_schedule` from the zero-error state.
+    :func:`run_schedule`.
     """
     if T < 1:
         raise GraphError("inference learning needs at least one step")
-    start = time.perf_counter()
-    state = init_state(g, params, y, "zero_error")
-    if gamma <= 0:
-        raise GraphError("inference step size must be positive")
     schedule = ZilSchedule("il", gamma, T + 1,
                            {v: T for v in g.trainable_leaves()})
-    per_leaf, _snapshots = relax_schedule(g, state, lr, schedule, None, False)
-    return make_report(g, "il", per_leaf,
-                       wall_time=time.perf_counter() - start, steps=T)
+    report, _trace = run_schedule(g, params, y, lr, schedule, "il")
+    return replace(report, steps=T)

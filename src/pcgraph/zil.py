@@ -25,66 +25,34 @@ Two schedule variants:
   generally wrong on graphs with unequal path lengths, which is the
   failure the leveller repairs.
 
-Two engines run a schedule, chosen from the run's inputs.  The
-wavefront engine is one reverse sweep (:func:`autodiff.reverse_sweep`,
-the walk backprop takes) in which a value node settles to the error
-relax(x0, eps0, arriving, gamma) - mu where backprop sums.  It runs
-when the graph is levelled, the start is zero-error, no trace is
-recorded and every leaf is read at level(leaf) - 1.  The step engine,
-:func:`pc.relax_schedule`, which inference learning runs too, runs the
-rest (traced runs, unlevelled graphs, ``no_level_schedule``,
-``nonzero_init_error``) and is the oracle the sweep matches byte for
-byte.  Where every leaf is read at level(leaf) - 1 on a levelled graph
-it keeps only the light cone: at step t, the internal vertices at
-level >= t, which is all that the reads and the checks below use.  A
-traced run's snapshots hold that region.
+Every schedule runs through :func:`pc.run_schedule`, which picks the
+engine; a traced run's snapshots hold the light cone when every leaf
+is read at level(leaf) - 1 on a levelled graph.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Literal, Mapping
 
 import numpy as np
 
-from .autodiff import arriving, evaluate, pull_onto, reverse_sweep
-from .errors import BadGamma, GraphError, NotLevelled
+from .autodiff import arriving, pull_onto
+from .errors import GraphError
 from .graph import Graph, VertexId, level_structure, min_distances
 from .numerics import Array, as_f64, fsum_arrays
-from .pc import (PCState, ZilSchedule, _with_values, init_state, relax,
-                 relax_schedule)
-from .report import UpdateReport, make_report
+from .pc import ZilSchedule, ZilTrace, run_schedule
+from .report import UpdateReport
 
 Variant = Literal["level_structured", "layer_indexed"]
 
 
-@dataclass(frozen=True)
-class ZilTrace:
-    """Per-step state snapshots plus the recorded per-leaf updates.
-
-    ``snapshots[t]`` is the state each step's updates were read from
-    (before that step's relaxation was applied).  It holds the step's
-    region only: the internal vertices at level >= t when every leaf is
-    read at level(leaf) - 1 on a levelled graph, else every internal
-    vertex.  Arrays that did not change are shared between snapshots.
-    """
-
-    snapshots: tuple[PCState, ...]
-    updates: dict[VertexId, Array]
-    schedule: ZilSchedule
-
-
-def make_schedule(g: Graph, variant: Variant, gamma: float = 1.0, *,
-                  allow_bad_gamma: bool = False) -> ZilSchedule:
-    """Build the update schedule for a graph.
+def make_schedule(g: Graph, variant: Variant) -> ZilSchedule:
+    """Build the update schedule for a graph, at gamma = 1.
 
     ``level_structured`` raises :class:`NotLevelled` on graphs with
-    ambiguous path lengths; ``layer_indexed`` runs on anything.  Any
-    gamma other than 1 is rejected unless the ablation flag is set.
+    ambiguous path lengths; ``layer_indexed`` runs on anything.
     """
-    if gamma != 1.0 and not allow_bad_gamma:
-        raise BadGamma(gamma)
     trainable = g.trainable_leaves()
     if not trainable:
         raise GraphError("no trainable leaves to schedule")
@@ -98,108 +66,21 @@ def make_schedule(g: Graph, variant: Variant, gamma: float = 1.0, *,
     else:
         raise GraphError(f"unknown schedule variant {variant!r}")
     steps = max(times.values()) + 1
-    return ZilSchedule(variant=variant, gamma=gamma, steps=steps,
+    return ZilSchedule(variant=variant, gamma=1.0, steps=steps,
                        update_times=times)
-
-
-def _run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
-                  lr: float, schedule: ZilSchedule, *,
-                  init_perturbation: float = 0.0,
-                  record_trace: bool = True) -> tuple[dict[VertexId, Array], ZilTrace, float]:
-    """Run a schedule on the wavefront engine when its inputs allow, else step."""
-    start = time.perf_counter()
-    if (init_perturbation == 0.0 and not record_trace
-            and _reads_at_levels(g, schedule)):
-        per_leaf = _wavefront(g, params, y, lr, schedule.gamma)
-        snapshots: tuple[PCState, ...] = ()
-    else:
-        per_leaf, snapshots = _dense(g, params, y, lr, schedule,
-                                     init_perturbation, record_trace)
-    trace = ZilTrace(snapshots=snapshots, updates=dict(per_leaf),
-                     schedule=schedule)
-    return per_leaf, trace, time.perf_counter() - start
-
-
-def _reads_at_levels(g: Graph, schedule: ZilSchedule) -> bool:
-    """Whether the graph is levelled and every leaf is read at level(leaf) - 1."""
-    try:
-        levels = level_structure(g).levels
-    except NotLevelled:
-        return False
-    return all(when == levels[v] - 1
-               for v, when in schedule.update_times.items())
-
-
-def _dense(g: Graph, params: Mapping[VertexId, Array], y: float, lr: float,
-           schedule: ZilSchedule, init_perturbation: float,
-           record_trace: bool) -> tuple[dict[VertexId, Array], tuple[PCState, ...]]:
-    """Run a schedule on the step engine, :func:`pc.relax_schedule`.
-
-    When the graph is levelled and every leaf is read at level(leaf) - 1,
-    step t keeps only its light cone, the internal vertices at
-    level >= t: a vertex at level k is updated from levels k - 1, k and
-    k + 1 of the step before, so the region is closed under the rule,
-    and it holds everything the reads and both checks use.  Otherwise
-    the region is every internal vertex.
-    """
-    state = init_state(g, params, y, "zero_error")
-    if init_perturbation != 0.0:
-        state = _perturb(state, g, init_perturbation)
-    cone = level_structure(g).buckets if _reads_at_levels(g, schedule) else None
-    return relax_schedule(g, state, lr, schedule, cone, record_trace)
-
-
-def _wavefront(g: Graph, params: Mapping[VertexId, Array], y: float,
-               lr: float, gamma: float) -> dict[VertexId, Array]:
-    """One reverse sweep whose internal vertices settle by the Z-IL rule.
-
-    By the quiet window (see :func:`check_quiet_window`) a vertex at
-    level k still holds x0 when the wavefront reaches it at step k - 1,
-    and so does everything below it; so the error it settles to is
-    relax(x0, eps0, arriving, gamma) - mu(x0 of its children), and a
-    leaf reads its arriving pulls.  A value node presents x0 + 0.0, as
-    a relaxation step leaves a quiet node; where the step engine reads a
-    raw x0 (at t = 0) the two differ at most in the sign of a zero, and
-    the ``+ 0.0`` of every leaf sum removes that.
-    """
-    state = init_state(g, params, y, "zero_error")
-    values = {**state.params, **{v: x + 0.0 for v, x in state.x.items()}}
-
-    def settle(vid: VertexId, terms: list[Array]) -> Array:
-        return (relax(values[vid], state.eps[vid], terms, gamma)
-                - evaluate(g, vid, values))
-
-    signal = reverse_sweep(g, values, state.eps[g.output], settle)
-    return {v: lr * signal[v] for v in g.trainable_leaves()}
-
-
-def _perturb(state: PCState, g: Graph, amount: float) -> PCState:
-    """Shift every unclamped internal value node by a constant offset."""
-    new_x = {}
-    for vid, val in state.x.items():
-        if state.clamp is not None and vid == g.output:
-            new_x[vid] = val
-        else:
-            new_x[vid] = val + amount
-    return _with_values(g, new_x, state.params, state.t, state.clamp)
 
 
 def zil_train_step(g: Graph, params: Mapping[VertexId, Array], y: float,
                    lr: float = 0.01, variant: Variant = "level_structured",
-                   *, gamma: float = 1.0, allow_bad_gamma: bool = False,
-                   record_trace: bool = True) -> tuple[UpdateReport, ZilTrace]:
+                   *, record_trace: bool = True) -> tuple[UpdateReport, ZilTrace]:
     """One scheduled training step; returns the report and the trace.
 
     With ``variant="level_structured"`` on a levelled graph this
     reproduces the reverse-pass updates exactly (up to float64
     accumulation order, which the canonical sums remove).
     """
-    schedule = make_schedule(g, variant, gamma, allow_bad_gamma=allow_bad_gamma)
-    per_leaf, trace, elapsed = _run_schedule(
-        g, params, y, lr, schedule, record_trace=record_trace)
-    report = make_report(g, f"zil/{variant}", per_leaf,
-                         wall_time=elapsed, steps=schedule.steps)
-    return report, trace
+    return run_schedule(g, params, y, lr, make_schedule(g, variant),
+                        f"zil/{variant}", record_trace=record_trace)
 
 
 Ablation = Literal["no_level_schedule", "nonzero_init_error", "gamma_half"]
@@ -223,19 +104,16 @@ def zil_ablate(g: Graph, params: Mapping[VertexId, Array], y: float,
     schedule = base = make_schedule(g, "level_structured")
     if which == "no_level_schedule":
         last = base.steps - 1
-        schedule = ZilSchedule(variant="ablate/no_level_schedule",
-                               gamma=1.0, steps=base.steps,
-                               update_times={v: last for v in base.update_times})
+        schedule = replace(base, variant="ablate/no_level_schedule",
+                           update_times={v: last for v in base.update_times})
     elif which == "gamma_half":
-        schedule = make_schedule(g, "level_structured", gamma=0.5,
-                                 allow_bad_gamma=True)
+        schedule = replace(base, gamma=0.5)
     elif which != "nonzero_init_error":
         raise GraphError(f"unknown ablation {which!r}")
     shift = PERTURBATION if which == "nonzero_init_error" else 0.0
-    per_leaf, _trace, elapsed = _run_schedule(
-        g, params, y, lr, schedule, init_perturbation=shift, record_trace=False)
-    return make_report(g, f"zil/{which}", per_leaf,
-                       wall_time=elapsed, steps=base.steps)
+    report, _trace = run_schedule(g, params, y, lr, schedule, f"zil/{which}",
+                                  shift=shift)
+    return report
 
 
 # -- instrumentation ------------------------------------------------------
@@ -246,7 +124,8 @@ def check_quiet_window(trace: ZilTrace, g: Graph) -> tuple[bool, list[tuple]]:
     For every internal vertex i and every recorded step t < level(i),
     the error must be exactly zero and the value node must still carry
     its initial value.  Returns (ok, violations) with each violation as
-    (vertex, t, field, value).
+    (vertex, t, field, value).  Snapshots share the arrays that were
+    not recomputed, so each error array is tested once per vertex.
     """
     structure = level_structure(g)
     violations: list[tuple] = []
@@ -254,13 +133,14 @@ def check_quiet_window(trace: ZilTrace, g: Graph) -> tuple[bool, list[tuple]]:
         return True, violations
     first = trace.snapshots[0]
     for vid in g.internal_ids:
-        lvl = structure.levels[vid]
-        for t, snap in enumerate(trace.snapshots):
-            if t >= lvl:
-                break
-            if snap.eps[vid].any():
-                violations.append((vid, t, "eps",
-                                   float(np.max(np.abs(snap.eps[vid])))))
+        loudest: dict[int, float | None] = {}  # id(eps) -> max |eps| if nonzero
+        for t, snap in enumerate(trace.snapshots[:structure.levels[vid]]):
+            eps = snap.eps[vid]
+            if id(eps) not in loudest:
+                loudest[id(eps)] = (float(np.max(np.abs(eps)))
+                                    if eps.any() else None)
+            if loudest[id(eps)] is not None:
+                violations.append((vid, t, "eps", loudest[id(eps)]))
             if (snap.x[vid] is not first.x[vid]
                     and not np.array_equal(snap.x[vid], first.x[vid])):
                 violations.append((vid, t, "x",

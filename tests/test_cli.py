@@ -129,6 +129,14 @@ def test_grad_check_fails_at_absurd_tolerance(skipchain_file, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_grad_check_rejects_a_bad_tolerance(skipchain_file, capsys, tolerance):
+    assert main(["grad-check", "--graph", str(skipchain_file),
+                 "--tolerance", tolerance]) == 2
+    err = capsys.readouterr().err
+    assert "--tolerance" in err and "Traceback" not in err
+
+
 def test_grad_check_needs_params(tmp_path, capsys):
     g, _ = build_model(ModelSpec("skipchain"))
     bare = tmp_path / "bare.json"
@@ -160,6 +168,8 @@ def _tiny_config(tmp_path):
     {"repetitions": 0},
     {"T_il": True},
     [1, 2],
+    {"tolerance_zero": -1e-9},
+    {"tolerance_positive": -1},
 ])
 def test_bad_config_types_are_a_usage_error(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
@@ -186,6 +196,16 @@ def test_equiv_single_seed_override(tmp_path):
     assert code == 0
     rows = json.loads(out.read_text())
     assert {r["seed"] for r in rows} == {7}
+
+
+def test_equiv_tolerance_override(tmp_path, capsys):
+    config = str(_tiny_config(tmp_path))
+    assert main(["equiv", "--config", config, "--tolerance", "1e-3",
+                 "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert {json.loads(r["config"])["tolerance_zero"] for r in rows} == {1e-3}
+    assert main(["equiv", "--config", config, "--tolerance", "-1"]) == 2
+    assert "'tolerance_zero' must be >= 0" in capsys.readouterr().err
 
 
 def test_ablate_subcommand(tmp_path, capsys):

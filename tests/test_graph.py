@@ -133,6 +133,7 @@ def test_unreachable_vertices_rejected():
     (lambda vs, grp: (vs, [TieGroup("other", (1,))]), "does not name"),
     (lambda vs, grp: (vs, [TieGroup("k", (1,)), TieGroup("k", (1,))]),
      "distinct"),
+    (lambda vs, grp: (vs, [TieGroup("k", (1, 7))]), "unknown"),
 ])
 def test_bad_tie_groups(mutate, match):
     vs = [Vertex(0, fns.square(), (1,), False),
@@ -361,6 +362,8 @@ def test_build_graph_with_tie_groups():
     {"output": 1, "vertices": [{"id": 0, "leaf": True, "tie_group": "k"},
                                {"id": 1, "kind": "square", "children": [0]}],
      "tie_groups": [{"id": "k", "members": [False]}]},
+    {"output": 2, "vertices": [{"id": 0, "leaf": True},
+                               {"id": 1, "kind": "square", "children": [0]}]},
 ])
 def test_build_graph_rejects_malformed_descriptions(desc):
     with pytest.raises(GraphError):

@@ -29,6 +29,13 @@ def test_config_rejects_unknown_keys():
         harness.ExperimentConfig.from_dict({"learning_rate": 0.1})
 
 
+@pytest.mark.parametrize("name", ["tolerance_zero", "tolerance_positive"])
+def test_config_rejects_a_negative_tolerance(name):
+    with pytest.raises(GraphError, match=f"'{name}' must be >= 0"):
+        harness.ExperimentConfig.from_dict({name: -1e-12})
+    assert getattr(harness.ExperimentConfig.from_dict({name: 0.0}), name) == 0.0
+
+
 def test_config_from_json_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"families": ["mlp"], "seeds": [3], "lr": 0.2}))

@@ -1,27 +1,29 @@
 """The step engine against the plain relaxation loop, byte for byte.
 
 The step engine (:func:`pc.relax_schedule`) recomputes only what an
-input change reaches.  Z-IL runs it through ``zil._dense``, which, where
-every leaf is read at level(leaf) - 1 on a levelled graph, keeps only
-the light cone: at step t the internal vertices at level >= t.
-Inference learning runs it as a schedule that reads every leaf after T
-steps.  The oracle below is one full :func:`pc.inference_step` per
+input change reaches.  :func:`pc.run_schedule` runs a traced schedule
+on it and, where every leaf is read at level(leaf) - 1 on a levelled
+graph, keeps only the light cone: at step t the internal vertices at
+level >= t.  Inference learning is a schedule that reads every leaf
+after T steps.  The oracle below is one full :func:`pc.inference_step` per
 step.  Bytes are compared through ``.tobytes()``, because
 ``np.array_equal`` treats -0.0 and 0.0 as equal.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pcgraph import functions as fns
-from pcgraph import zil
+from pcgraph import pc
 from pcgraph.autodiff import backprop, forward
 from pcgraph.errors import DomainError, GraphError, NotLevelled
 from pcgraph.graph import GraphBuilder, level_structure
 from pcgraph.leveller import level
 from pcgraph.models import FAMILIES, ModelSpec, build_model, random_graph
 from pcgraph.pc import (extract_updates, il_train_step, inference_step,
-                        init_state)
+                        init_state, run_schedule)
 from pcgraph.report import make_report
 from pcgraph.zil import (ZilSchedule, ZilTrace, check_quiet_window,
                          check_wavefront_recursion, make_schedule,
@@ -35,7 +37,7 @@ def relax_every_step(g, params, y, lr, schedule, init_perturbation):
     """The oracle: every value node relaxed at every step."""
     state = init_state(g, params, y, "zero_error")
     if init_perturbation != 0.0:
-        state = zil._perturb(state, g, init_perturbation)
+        state = pc._perturb(state, g, init_perturbation)
     per_leaf, snapshots = {}, []
     for t in range(schedule.steps):
         snapshots.append(state)
@@ -53,8 +55,8 @@ def schedules(g):
     for variant in ("level_structured", "layer_indexed"):
         for gamma in (1.0, 0.5):
             try:
-                runs.append((make_schedule(g, variant, gamma,
-                                           allow_bad_gamma=True), 0.0))
+                runs.append((replace(make_schedule(g, variant), gamma=gamma),
+                             0.0))
             except NotLevelled:
                 continue
     if level_structured := [s for s, _ in runs
@@ -68,7 +70,7 @@ def schedules(g):
 
 
 def region(g, schedule, t):
-    if zil._reads_at_levels(g, schedule):
+    if pc._reads_at_levels(g, schedule):
         levels = level_structure(g).levels
         return {v for v in g.internal_ids if levels[v] >= t}
     return set(g.internal_ids)
@@ -84,7 +86,7 @@ def check_outcomes(trace, g):
 def assert_run_matches_oracle(g, params, y, schedule, shift=0.0):
     expected, expected_snaps = relax_every_step(g, params, y, LR,
                                                 schedule, shift)
-    got, snaps = zil._dense(g, params, y, LR, schedule, shift, True)
+    got, snaps = traced(g, params, y, schedule, shift)
     assert list(got) == list(expected)
     for vid, delta in expected.items():
         assert got[vid].tobytes() == delta.tobytes(), (schedule, vid)
@@ -100,6 +102,13 @@ def assert_run_matches_oracle(g, params, y, schedule, shift=0.0):
         assert (snap.t, snap.clamp) == (full.t, full.clamp)
     assert check_outcomes(ZilTrace(snaps, got, schedule), g) == \
         check_outcomes(ZilTrace(expected_snaps, expected, schedule), g)
+
+
+def traced(g, params, y, schedule, shift=0.0):
+    """The per-leaf updates and snapshots of a traced run of ``schedule``."""
+    _report, trace = run_schedule(g, params, y, LR, schedule, "traced",
+                                  shift=shift, record_trace=True)
+    return trace.updates, trace.snapshots
 
 
 def il_schedule(g, gamma, T):
@@ -190,7 +199,7 @@ def test_a_parent_is_pulled_again_when_only_its_children_moved():
               d2: np.asarray(2.0)}
     tiny_steps = ZilSchedule("read late", 1e-20, 4, {w1: 3, w2: 3})
     assert_run_matches_oracle(g, params, 1e17, tiny_steps)
-    _updates, snaps = zil._dense(g, params, 1e17, LR, tiny_steps, 0.0, True)
+    _updates, snaps = traced(g, params, 1e17, tiny_steps)
     assert snaps[2].eps[out].tobytes() == snaps[1].eps[out].tobytes()
     assert snaps[2].x[h2].tobytes() != snaps[1].x[h2].tobytes()
 
@@ -207,7 +216,7 @@ def test_snapshots_hold_the_light_cone_or_every_internal_vertex():
     last = late.steps - 1
     late = ZilSchedule("read late", 1.0, late.steps,
                        {v: last for v in late.update_times})
-    _updates, snaps = zil._dense(g, params, y, LR, late, 0.0, True)
+    _updates, snaps = traced(g, params, y, late)
     assert all(set(snap.eps) == set(g.internal_ids) for snap in snaps)
 
 
@@ -282,3 +291,23 @@ def test_a_vertex_that_left_the_light_cone_no_longer_raises():
         assert rep.updates[key].tobytes() == delta.tobytes(), key
     assert check_quiet_window(trace, g) == (True, [])
     assert check_wavefront_recursion(trace, g)
+
+
+def test_inference_learning_read_at_levels_no_longer_raises_outside_the_cone():
+    """out = sqrt(w * x): every weight sits at level 2, so T = 1 reads it
+    at level(leaf) - 1 and takes the wavefront.  Relaxing every value
+    node would evaluate the sqrt (level 0) at a negative w * x at t = 1,
+    after it left the light cone."""
+    b = GraphBuilder()
+    w = b.leaf()
+    x = b.leaf(trainable=False)
+    g = b.build(b.vertex(fns.sqrt(), [b.vertex(fns.multiply(), [w, x])]))
+    params = {w: np.asarray(1.0), x: np.asarray(0.01)}
+    schedule = il_schedule(g, 0.1, 1)
+    with pytest.raises(DomainError) as err:
+        relax_every_step(g, params, -10.0, LR, schedule, 0.0)
+    assert err.value.vertex == g.output
+    expected, _snaps = traced(g, params, -10.0, schedule)
+    got = il_train_step(g, params, -10.0, LR, 0.1, 1).updates[("leaf", w)]
+    assert got.tobytes() == expected[w].tobytes()
+    assert np.isfinite(got)

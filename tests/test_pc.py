@@ -184,6 +184,22 @@ def test_il_rejects_nonpositive_gamma(gamma):
         il_train_step(g, params, y=4.0, gamma=gamma, T=3)
 
 
+def test_il_needs_at_least_one_step():
+    g, params = fig_one()
+    with pytest.raises(GraphError, match="at least one step"):
+        il_train_step(g, params, y=4.0, gamma=0.1, T=0)
+
+
+def test_clamping_needs_a_scalar_output():
+    b = GraphBuilder()
+    z = b.leaf()
+    g = b.build(b.vertex(fns.square(), [z]))
+    params = {z: np.array([1.0, 2.0])}
+    assert init_state(g, params).x[g.output].shape == (2,)
+    with pytest.raises(GraphError, match="scalar output"):
+        init_state(g, params, y=1.0)
+
+
 def test_dynamics_are_deterministic():
     g, params = models.build_model(models.ModelSpec("rnn", (3, 3, 4), "tanh", 6))
     y = forward(g, params).output_value(g) + 0.5

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from pcgraph import functions as fns
 from pcgraph import models
 from pcgraph.autodiff import backprop, forward
 from pcgraph.errors import GraphError
+from pcgraph.graph import GraphBuilder
 from pcgraph.serial import (
     FORMAT,
     graph_from_dict,
@@ -34,6 +36,18 @@ def test_round_trip_preserves_behaviour(family):
     assert list(a) == list(b)
     for key in a:
         assert np.array_equal(a[key], b[key])
+
+
+def test_round_trip_keeps_a_constant_vertex():
+    b = GraphBuilder()
+    c = b.constant(2.5)
+    z = b.leaf()
+    g = b.build(b.vertex(fns.multiply(), [c, z]))
+    params = {z: np.asarray(3.0)}
+    g2, params2 = graph_from_dict(json.loads(json.dumps(graph_to_dict(g, params))))
+    assert g2.vertices[c].fn.kind is fns.FnKind.CONSTANT
+    assert g2.vertices[c].fn.value == 2.5
+    assert forward(g2, params2).output_value(g2) == 7.5
 
 
 def test_round_trip_without_params():

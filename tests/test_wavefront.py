@@ -1,21 +1,24 @@
-"""The wavefront engine against the dense one: the same bytes on every update.
+"""The wavefront engine against the step engine: the same bytes on every update.
 
 ``np.array_equal`` treats -0.0 and 0.0 as equal, so updates are compared
 through ``.tobytes()``.  A run without a recorded trace on a levelled
 graph takes the wavefront engine; a traced run of the same schedule
-takes the dense one, which is the oracle.
+takes the step engine, which is the oracle.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pcgraph import functions as fns
-from pcgraph import zil
+from pcgraph import pc
 from pcgraph.autodiff import forward
 from pcgraph.graph import GraphBuilder
 from pcgraph.leveller import level
 from pcgraph.models import FAMILIES, ModelSpec, build_model, random_graph
-from pcgraph.zil import zil_ablate, zil_train_step
+from pcgraph.pc import il_train_step, run_schedule
+from pcgraph.zil import make_schedule, zil_ablate, zil_train_step
 
 GAMMAS = (1.0, 0.5)
 
@@ -24,24 +27,24 @@ GAMMAS = (1.0, 0.5)
 def engines(monkeypatch):
     """The names of the engines run since the fixture was set up."""
     ran: list[str] = []
-    for name in ("_dense", "_wavefront"):
-        inner = getattr(zil, name)
+    for name in ("relax_schedule", "_wavefront"):
+        inner = getattr(pc, name)
 
         def spy(*args, _inner=inner, _name=name, **kwargs):
             ran.append(_name)
             return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(zil, name, spy)
+        monkeypatch.setattr(pc, name, spy)
     return ran
 
 
 def _assert_same_bytes(g, params, y, gamma, engines):
     engines.clear()
-    kwargs = dict(lr=0.01, gamma=gamma, allow_bad_gamma=True)
-    dense, dense_trace = zil_train_step(g, params, y, record_trace=True, **kwargs)
-    sparse, sparse_trace = zil_train_step(g, params, y, record_trace=False,
-                                          **kwargs)
-    assert engines == ["_dense", "_wavefront"]
+    schedule = replace(make_schedule(g, "level_structured"), gamma=gamma)
+    dense, dense_trace = run_schedule(g, params, y, 0.01, schedule, "zil",
+                                      record_trace=True)
+    sparse, sparse_trace = run_schedule(g, params, y, 0.01, schedule, "zil")
+    assert engines == ["relax_schedule", "_wavefront"]
     assert set(sparse_trace.updates) == set(dense_trace.updates)
     for vid, delta in dense_trace.updates.items():
         assert sparse_trace.updates[vid].tobytes() == delta.tobytes(), vid
@@ -94,13 +97,23 @@ def test_unlevelled_graphs_and_traced_runs_take_the_dense_engine(engines):
     zil_train_step(g, params, 0.3, variant="layer_indexed", record_trace=False)
     lg, _report = level(g)
     zil_train_step(lg, params, 0.3, record_trace=True)
-    assert engines == ["_dense", "_dense"]
+    assert engines == ["relax_schedule", "relax_schedule"]
 
 
 def test_schedule_and_init_ablations_take_the_dense_engine(engines):
     g, params = build_model(ModelSpec("mlp", (3, 4, 1), "tanh", 2))
     zil_ablate(g, params, 0.3, which="no_level_schedule")
     zil_ablate(g, params, 0.3, which="nonzero_init_error")
-    assert engines == ["_dense", "_dense"]
+    assert engines == ["relax_schedule", "relax_schedule"]
     zil_ablate(g, params, 0.3, which="gamma_half")
     assert engines[-1] == "_wavefront"
+
+
+def test_inference_learning_reading_every_leaf_at_its_level_takes_the_wavefront(
+        engines):
+    """Every kernel tap of conv1d(6, 2) sits at level 3, so T = 2 reads
+    each at level(leaf) - 1 and T = 3 does not."""
+    g, params = build_model(ModelSpec("conv1d", (6, 2), "tanh", 0))
+    il_train_step(g, params, 0.3, T=2)
+    il_train_step(g, params, 0.3, T=3)
+    assert engines == ["_wavefront", "relax_schedule"]

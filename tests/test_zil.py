@@ -6,7 +6,7 @@ import pytest
 from pcgraph import functions as fns
 from pcgraph import models
 from pcgraph.autodiff import backprop
-from pcgraph.errors import BadGamma, DomainError, GraphError, NotLevelled
+from pcgraph.errors import DomainError, GraphError, NotLevelled
 from pcgraph.graph import GraphBuilder, level_structure
 from pcgraph.leveller import level
 from pcgraph.pc import PCState
@@ -64,14 +64,6 @@ def test_level_schedule_requires_levelled_graph():
     g, _params = skip_product()
     with pytest.raises(NotLevelled):
         make_schedule(g, "level_structured")
-
-
-def test_gamma_other_than_one_needs_explicit_flag():
-    g, _params, _w1, _w2 = two_level_chain()
-    with pytest.raises(BadGamma):
-        make_schedule(g, "level_structured", gamma=0.5)
-    sched = make_schedule(g, "level_structured", gamma=0.5, allow_bad_gamma=True)
-    assert sched.gamma == 0.5
 
 
 def test_schedule_needs_trainable_leaves():
@@ -190,6 +182,7 @@ def test_trace_can_be_disabled():
     g, params, _w1, _w2 = two_level_chain()
     _rep, trace = zil_train_step(g, params, y=31.0, record_trace=False)
     assert trace.snapshots == ()
+    assert check_quiet_window(trace, g) == (True, [])
 
 
 def sqrt_of_zero_under_the_only_weight():
@@ -338,6 +331,19 @@ def test_quiet_window_reads_a_shared_nan_value_node_by_its_error():
         with_value_node(trace, low, {0, 1}, nan, nan), g)
     assert not ok
     assert [v[:3] for v in violations] == [(low, 0, "eps"), (low, 1, "eps")]
+
+
+def test_quiet_window_reports_a_shared_error_array_at_every_step():
+    """One nonzero error array shared by two snapshots is tested once but
+    still reported once per step."""
+    g, params, low = three_level_chain()
+    _rep, trace = zil_train_step(g, params, y=250.0)
+    x0 = trace.snapshots[0].x[low]
+    loud = np.asarray(0.5)
+    ok, violations = check_quiet_window(
+        with_value_node(trace, low, {0, 1}, x0, loud), g)
+    assert not ok
+    assert violations == [(low, 0, "eps", 0.5), (low, 1, "eps", 0.5)]
 
 
 def test_one_step_error_recursion_at_settling_time():

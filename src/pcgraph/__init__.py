@@ -50,7 +50,6 @@ from .autodiff import (
 )
 from .leveller import LevelReport, audit_paths, level
 from .pc import (
-    EnergyValue,
     PCState,
     energy,
     extract_updates,

@@ -56,6 +56,8 @@ class ModelSpec:
             raise BadSpec("dims must be positive")
         if self.activation not in fns.ACTIVATION_NAMES:
             raise BadSpec(f"unknown activation {self.activation!r}")
+        if self.seed < 0:
+            raise BadSpec(f"seed must be >= 0, got {self.seed}")
 
 
 def default_dims(family: str) -> tuple[int, ...]:

@@ -31,8 +31,7 @@ Conventions pinned here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal, Mapping
 
 import numpy as np
@@ -61,12 +60,17 @@ class PCState:
 
 @dataclass(frozen=True)
 class ZilSchedule:
-    """When each trainable leaf reads its parents' errors."""
+    """When each trainable leaf reads its parents' errors.
+
+    ``steps`` is the number of states the schedule visits, one past its
+    last read; with no reads it is one, so step 0 still pulls back every
+    vertex, as backprop does.
+    """
 
     variant: str
     gamma: float
-    steps: int
     update_times: dict[VertexId, int]
+    steps: int = field(init=False, compare=False)
     _due: dict[int, tuple[VertexId, ...]] = field(
         init=False, repr=False, compare=False)
 
@@ -74,18 +78,13 @@ class ZilSchedule:
         due: dict[int, list[VertexId]] = {}
         for v in sorted(self.update_times):
             due.setdefault(self.update_times[v], []).append(v)
+        object.__setattr__(self, "steps",
+                           max(self.update_times.values(), default=0) + 1)
         object.__setattr__(self, "_due",
                            {t: tuple(vs) for t, vs in due.items()})
 
     def leaves_at(self, t: int) -> tuple[VertexId, ...]:
         return self._due.get(t, ())
-
-
-@dataclass(frozen=True)
-class EnergyValue:
-    """Total squared prediction error, F = 1/2 sum eps^2."""
-
-    F: float
 
 
 def node_value(state: PCState, g: Graph, vid: VertexId) -> Array:
@@ -132,7 +131,7 @@ def init_state(g: Graph, params: Mapping[VertexId, Array],
         x = {vid: np.zeros_like(trace.mu[vid]) for vid in g.internal_ids}
     else:
         raise GraphError(f"unknown init mode {mode!r}")
-    zeta = {vid: as_f64(params[vid]).copy() for vid in g.leaves}  # checked by forward
+    zeta = {vid: trace.mu[vid] for vid in g.leaves}  # not copied: never written
     if y is not None:
         if trace.mu[g.output].shape != ():
             raise GraphError("clamping needs a scalar output vertex")
@@ -176,12 +175,12 @@ def inference_step(state: PCState, g: Graph, gamma: float) -> PCState:
     return _with_values(g, new_x, state.params, state.t + 1, state.clamp)
 
 
-def energy(state: PCState) -> EnergyValue:
-    """Exact (order-independent) total squared error."""
+def energy(state: PCState) -> float:
+    """Exact (order-independent) total squared error, F = 1/2 sum eps^2."""
     squares: list[float] = []
     for e in state.eps.values():
         squares.extend((np.asarray(e, dtype=np.float64).ravel() ** 2).tolist())
-    return EnergyValue(F=0.5 * math.fsum(squares))
+    return 0.5 * math.fsum(squares)
 
 
 def extract_updates(state: PCState, g: Graph, lr: float,
@@ -309,7 +308,6 @@ def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
     step before, so the region is closed under the rule, and it holds
     everything the reads and the checks of :mod:`.zil` use.
     """
-    start = time.perf_counter()
     state = init_state(g, params, y, "zero_error")
     if schedule.gamma <= 0:
         raise GraphError("inference step size must be positive")
@@ -323,10 +321,7 @@ def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
         cone = level_structure(g).buckets if at_levels else None
         per_leaf, snapshots = relax_schedule(g, state, lr, schedule, cone,
                                              record_trace)
-    del state  # its copy of every parameter, before the report copies more
-    report = make_report(g, label, per_leaf,
-                         wall_time=time.perf_counter() - start,
-                         steps=schedule.steps)
+    report = make_report(g, label, per_leaf)
     return report, ZilTrace(snapshots, per_leaf, schedule)
 
 
@@ -384,7 +379,6 @@ def il_train_step(g: Graph, params: Mapping[VertexId, Array], y: float,
     """
     if T < 1:
         raise GraphError("inference learning needs at least one step")
-    schedule = ZilSchedule("il", gamma, T + 1,
-                           {v: T for v in g.trainable_leaves()})
+    schedule = ZilSchedule("il", gamma, {v: T for v in g.trainable_leaves()})
     report, _trace = run_schedule(g, params, y, lr, schedule, "il")
-    return replace(report, steps=T)
+    return report

@@ -25,9 +25,6 @@ class UpdateReport:
 
     algorithm: str
     updates: dict[ParamKey, Array]
-    wall_time: float = 0.0
-    steps: int = 0
-    loss: float | None = None
 
     def flat(self) -> np.ndarray:
         """All deltas concatenated in canonical order."""
@@ -38,13 +35,10 @@ class UpdateReport:
         return np.concatenate(parts)
 
 
-def make_report(g: Graph, algorithm: str, per_leaf: Mapping[VertexId, Array],
-                *, wall_time: float = 0.0, steps: int = 0,
-                loss: float | None = None) -> UpdateReport:
+def make_report(g: Graph, algorithm: str,
+                per_leaf: Mapping[VertexId, Array]) -> UpdateReport:
     """Fold per-leaf deltas into a canonical report (tie groups summed)."""
-    return UpdateReport(algorithm=algorithm,
-                        updates=collect_updates(g, per_leaf),
-                        wall_time=wall_time, steps=steps, loss=loss)
+    return UpdateReport(algorithm, collect_updates(g, per_leaf))
 
 
 def divergence(a: UpdateReport | Mapping[ParamKey, Array],

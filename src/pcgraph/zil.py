@@ -65,9 +65,7 @@ def make_schedule(g: Graph, variant: Variant) -> ZilSchedule:
                  for v in trainable}
     else:
         raise GraphError(f"unknown schedule variant {variant!r}")
-    steps = max(times.values()) + 1
-    return ZilSchedule(variant=variant, gamma=1.0, steps=steps,
-                       update_times=times)
+    return ZilSchedule(variant=variant, gamma=1.0, update_times=times)
 
 
 def zil_train_step(g: Graph, params: Mapping[VertexId, Array], y: float,

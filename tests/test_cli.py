@@ -179,6 +179,28 @@ def test_bad_config_types_are_a_usage_error(tmp_path, capsys, config):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_build_rejects_a_negative_seed(capsys):
+    assert main(["build", "--family", "mlp", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+
+
+def test_equiv_rejects_a_negative_seed_override(tmp_path, capsys):
+    assert main(["equiv", "--config", str(_tiny_config(tmp_path)),
+                 "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "'seeds'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["ablate", "bench"])
+def test_a_negative_config_seed_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"families": ["mlp"], "seeds": [-3]}))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'seeds'" in err and "Traceback" not in err
+
+
 def test_equiv_subcommand(tmp_path):
     out = tmp_path / "rows.csv"
     code = main(["equiv", "--config", str(_tiny_config(tmp_path)),

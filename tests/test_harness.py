@@ -71,6 +71,7 @@ def test_equivalence_suite_rows_and_exit():
         assert json.loads(row["config"])["seeds"] == [0, 1]
     variants = {row["variant"] for row in rows}
     assert variants == {"layer_indexed", "level_structured+levelled"}
+    assert all(row["wall_time"] > 0.0 for row in rows)
 
 
 def test_equivalence_expectations_by_family():
@@ -121,6 +122,8 @@ def test_benchmark_reports_and_never_fails(capsys):
         assert r["median_s"] > 0
         assert r["repetitions"] == 3
     assert rows[1]["steps"] == cfg.T_il
+    # mlp(4,8,1)'s first weight reads at step 4: four relaxations
+    assert rows[2]["steps"] == 4
 
 
 # -- row serialization ----------------------------------------------------

@@ -63,7 +63,7 @@ def schedules(g):
                             if s.variant == "level_structured"]:
         base = level_structured[0]
         last = base.steps - 1
-        runs.append((ZilSchedule("ablate/no_level_schedule", 1.0, base.steps,
+        runs.append((ZilSchedule("ablate/no_level_schedule", 1.0,
                                  {v: last for v in base.update_times}), 0.0))
         runs.append((base, PERTURBATION))
     return runs
@@ -113,7 +113,7 @@ def traced(g, params, y, schedule, shift=0.0):
 
 def il_schedule(g, gamma, T):
     """Inference learning's schedule: every leaf read after T steps."""
-    return ZilSchedule("il", gamma, T + 1, {v: T for v in g.trainable_leaves()})
+    return ZilSchedule("il", gamma, {v: T for v in g.trainable_leaves()})
 
 
 def assert_il_matches_oracle(g, params, y):
@@ -197,7 +197,7 @@ def test_a_parent_is_pulled_again_when_only_its_children_moved():
     g = b.build(out)
     params = {w1: np.asarray(1.5), w2: np.asarray(0.5), d1: np.asarray(1.0),
               d2: np.asarray(2.0)}
-    tiny_steps = ZilSchedule("read late", 1e-20, 4, {w1: 3, w2: 3})
+    tiny_steps = ZilSchedule("read late", 1e-20, {w1: 3, w2: 3})
     assert_run_matches_oracle(g, params, 1e17, tiny_steps)
     _updates, snaps = traced(g, params, 1e17, tiny_steps)
     assert snaps[2].eps[out].tobytes() == snaps[1].eps[out].tobytes()
@@ -214,10 +214,40 @@ def test_snapshots_hold_the_light_cone_or_every_internal_vertex():
         assert set(snap.eps) == {v for v in g.internal_ids if levels[v] >= t}
     late = make_schedule(g, "level_structured")
     last = late.steps - 1
-    late = ZilSchedule("read late", 1.0, late.steps,
+    late = ZilSchedule("read late", 1.0,
                        {v: last for v in late.update_times})
     _updates, snaps = traced(g, params, y, late)
     assert all(set(snap.eps) == set(g.internal_ids) for snap in snaps)
+
+
+def test_a_hand_built_levelled_schedule_runs_the_same_traced_or_not():
+    g, params = build_model(ModelSpec("mlp", (4, 8, 8, 1), "tanh", 0))
+    y = target(g, params)
+    schedule = ZilSchedule("x", 1.0,
+                           make_schedule(g, "level_structured").update_times)
+    untraced, _ = run_schedule(g, params, y, LR, schedule, "x")
+    traced_report, trace = run_schedule(g, params, y, LR, schedule, "x",
+                                        record_trace=True)
+    assert len(trace.snapshots) == schedule.steps
+    assert list(traced_report.updates) == list(untraced.updates)
+    for key, delta in untraced.updates.items():
+        assert traced_report.updates[key].tobytes() == delta.tobytes(), key
+
+
+def test_the_state_reads_the_callers_parameters_and_leaves_them_alone():
+    g, params = build_model(ModelSpec("rnn", (3, 3, 4), "tanh", 0))
+    y = target(g, params)
+    before = {v: p.tobytes() for v, p in params.items()}
+    state = init_state(g, params, y)
+    weight = g.trainable_leaves()[0]
+    assert params[weight].dtype == np.float64
+    assert state.params[weight] is params[weight]
+    il_train_step(g, params, y, LR, 0.1, 7)
+    zil_train_step(g, params, y, LR, "layer_indexed")
+    lg, _report = level(g)
+    zil_train_step(lg, params, y, LR)
+    zil_train_step(lg, params, y, LR, record_trace=False)
+    assert {v: p.tobytes() for v, p in params.items()} == before
 
 
 def test_unchanged_arrays_are_shared_between_snapshots():

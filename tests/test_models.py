@@ -26,6 +26,8 @@ def test_spec_validation():
         models.ModelSpec("mlp", (4, 0, 1))
     with pytest.raises(BadSpec):
         models.ModelSpec("mlp", (4, 8, 1), "softplus")
+    with pytest.raises(BadSpec, match="seed"):
+        models.ModelSpec("mlp", (4, 8, 1), "tanh", -1)
     with pytest.raises(BadSpec):
         models.build_model(models.ModelSpec("mlp", (4,)))
     with pytest.raises(BadSpec):

@@ -39,14 +39,14 @@ def test_zero_error_init_zeroes_everything_but_the_clamp():
         assert float(state.eps[vid]) == 0.0
     # mu_out = 9, clamp = 4: output error is the full target miss
     assert float(state.eps[g.output]) == -5.0
-    assert energy(state).F == 12.5
+    assert energy(state) == 12.5
 
 
 def test_zero_error_init_without_clamp_has_no_error_at_all():
     g, params = fig_one()
     state = init_state(g, params)
     assert state.clamp is None
-    assert energy(state).F == 0.0
+    assert energy(state) == 0.0
 
 
 def test_free_init_starts_value_nodes_at_zero():
@@ -96,7 +96,7 @@ def test_perfect_prediction_is_a_bitwise_fixed_point():
     g, params = fig_one()
     y = forward(g, params).output_value(g)
     state = init_state(g, params, y=y)
-    assert energy(state).F == 0.0
+    assert energy(state) == 0.0
     nxt = inference_step(state, g, gamma=1.0)
     for vid in g.internal_ids:
         assert np.array_equal(nxt.x[vid], state.x[vid])
@@ -118,10 +118,10 @@ def test_energy_descends_under_small_steps():
         g, params = models.build_model(models.ModelSpec(family, dims, "tanh", 2))
         y = forward(g, params).output_value(g) + 0.5
         state = init_state(g, params, y=y)
-        last = energy(state).F
+        last = energy(state)
         for _ in range(60):
             state = inference_step(state, g, gamma=0.02)
-            now = energy(state).F
+            now = energy(state)
             assert now <= last + 1e-12, family
             last = now
 
@@ -133,7 +133,7 @@ def test_unclamped_relaxation_recovers_forward_values():
     for _ in range(600):
         state = inference_step(state, g, gamma=0.2)
     trace = forward(g, params)
-    assert energy(state).F < 1e-12
+    assert energy(state) < 1e-12
     for vid in g.internal_ids:
         assert np.allclose(state.x[vid], trace.mu[vid], atol=1e-6)
 
@@ -160,10 +160,10 @@ def test_clamped_equilibrium_matches_constrained_minimum():
     assert best.success
 
     state = init_state(g, params, y=y)
-    last = energy(state).F
+    last = energy(state)
     for _ in range(4000):
         state = inference_step(state, g, gamma=0.1)
-        now = energy(state).F
+        now = energy(state)
         assert now <= last + 1e-12
         last = now
     assert last == pytest.approx(best.fun, abs=1e-9)
@@ -336,8 +336,6 @@ def test_il_train_step_report_fields():
     g, params = fig_one()
     rep = il_train_step(g, params, y=4.0, lr=0.1, gamma=0.1, T=30)
     assert rep.algorithm == "il"
-    assert rep.steps == 30
-    assert rep.wall_time > 0.0
     assert set(rep.updates) == {("leaf", 0), ("leaf", 1)}
 
 

@@ -13,6 +13,7 @@ from pcgraph.pc import PCState
 from pcgraph.report import divergence
 from pcgraph.zil import (
     ABLATIONS,
+    ZilSchedule,
     ZilTrace,
     check_quiet_window,
     check_wavefront_recursion,
@@ -58,6 +59,11 @@ def test_skip_product_layer_indexed_times():
     # z1 and z3 sit under distance-1 parents, z2 under the distance-2 one
     assert sched.update_times == {1: 1, 2: 2, 3: 1}
     assert sched.steps == 3
+
+
+def test_schedule_length_follows_its_read_times():
+    assert ZilSchedule("x", 1.0, {7: 3, 9: 1}).steps == 4
+    assert ZilSchedule("x", 1.0, {}).steps == 1
 
 
 def test_level_schedule_requires_levelled_graph():

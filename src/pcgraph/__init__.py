@@ -56,7 +56,6 @@ from .pc import (
     il_train_step,
     inference_step,
     init_state,
-    node_value,
 )
 from .zil import (
     ABLATIONS,

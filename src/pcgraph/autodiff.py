@@ -13,6 +13,7 @@ arriving contributions — in particular under identity-vertex insertion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Mapping
 
@@ -215,8 +216,9 @@ def gradient_rows(g: Graph, params: Mapping[VertexId, Array], y: float,
     as a unit (all members together), so its numeric gradient is the sum
     of the member gradients — the same reduction the analytic side uses.
     """
-    if h <= 0:
-        raise GraphError("finite-difference step must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise GraphError(
+            f"finite-difference step must be finite and positive, got {h!r}")
     rep = backprop(g, params, y, lr=1.0)
     rows: list[dict] = []
     for key in g.param_keys:
@@ -246,8 +248,8 @@ def gradient_rows(g: Graph, params: Mapping[VertexId, Array], y: float,
     return rows
 
 
-def grad_check(g: Graph, params: Mapping[VertexId, Array], y: float,
-               h: float = 1e-6) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    rows = gradient_rows(g, params, y, h)
+def grad_check(g: Graph, params: Mapping[VertexId, Array], y: float) -> float:
+    """Max relative error between analytic and central-difference gradients
+    at the default step of :func:`gradient_rows`."""
+    rows = gradient_rows(g, params, y)
     return float(np.max([row["rel_error"] for row in rows], initial=0.0))

@@ -281,16 +281,16 @@ _RANDOM_KINDS = ("add2", "add3", "multiply", "square", "tanh", "logistic",
                  "identity")
 
 
-def random_graph(seed: int, max_vertices: int = 12
-                 ) -> tuple[Graph, dict[VertexId, Array], float]:
-    """A random scalar DAG with safe function domains, plus params and target.
+def random_graph(seed: int) -> tuple[Graph, dict[VertexId, Array], float]:
+    """A random scalar DAG of 4 to 12 vertices with safe function domains,
+    plus params and target.
 
     Every vertex is reachable from the single output; leaves are mostly
     trainable (at least one always is).  Square roots are excluded so
     random values can never leave a domain.
     """
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, max_vertices + 1))
+    n = int(rng.integers(4, 13))
     is_leaf = [False] * n
     fn_of: dict[int, fns.ElemFn] = {}
     children_of: dict[int, list[int]] = {}

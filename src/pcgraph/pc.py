@@ -8,7 +8,7 @@ gradient descent on the energy
 
     F = 1/2 * sum_internal eps_i^2
 
-with the output value node optionally clamped to a target.  Training
+with the output value node clamped to a target.  Training
 runs a :class:`ZilSchedule`, which names the step at which each
 trainable leaf reads its parents' errors, through one runner,
 :func:`run_schedule`.  Inference learning (IL) reads every leaf after
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -42,8 +42,6 @@ from .errors import GraphError, NotLevelled
 from .graph import Graph, VertexId, level_structure
 from .numerics import Array, as_f64, fsum_arrays
 from .report import UpdateReport, make_report
-
-InitMode = Literal["zero_error", "free"]
 
 
 @dataclass(frozen=True)
@@ -55,19 +53,18 @@ class PCState:
     eps: dict[VertexId, Array]
     t: int
     params: dict[VertexId, Array]
-    clamp: float | None
 
 
 @dataclass(frozen=True)
 class ZilSchedule:
-    """When each trainable leaf reads its parents' errors.
+    """When each trainable leaf reads its parents' errors, relaxing at
+    step size ``gamma``.
 
     ``steps`` is the number of states the schedule visits, one past its
     last read; with no reads it is one, so step 0 still pulls back every
     vertex, as backprop does.
     """
 
-    variant: str
     gamma: float
     update_times: dict[VertexId, int]
     steps: int = field(init=False, compare=False)
@@ -87,13 +84,6 @@ class ZilSchedule:
         return self._due.get(t, ())
 
 
-def node_value(state: PCState, g: Graph, vid: VertexId) -> Array:
-    """Current value a vertex presents to its parents (x, or zeta for leaves)."""
-    if g.vertices[vid].is_leaf:
-        return state.params[vid]
-    return state.x[vid]
-
-
 def _predictions(g: Graph, x: Mapping[VertexId, Array],
                  params: Mapping[VertexId, Array]) -> dict[VertexId, Array]:
     values = {**params, **x}
@@ -101,49 +91,36 @@ def _predictions(g: Graph, x: Mapping[VertexId, Array],
 
 
 def _with_values(g: Graph, x: dict[VertexId, Array],
-                 params: dict[VertexId, Array], t: int,
-                 clamp: float | None) -> PCState:
+                 params: dict[VertexId, Array], t: int) -> PCState:
     """Assemble a consistent state: mu and eps recomputed from x."""
     mu = _predictions(g, x, params)
     eps = {vid: x[vid] - mu[vid] for vid in x}
-    return PCState(x=x, mu=mu, eps=eps, t=t, params=params, clamp=clamp)
+    return PCState(x=x, mu=mu, eps=eps, t=t, params=params)
 
 
 def init_state(g: Graph, params: Mapping[VertexId, Array],
-               y: float | None = None,
-               mode: InitMode = "zero_error") -> PCState:
-    """Fresh state at t=0.
+               y: float) -> PCState:
+    """Fresh state at t=0: the zero-error start with the output clamped.
 
-    ``zero_error`` runs a forward pass and sets every internal value
-    node to its own prediction (so all errors start exactly zero), then
-    clamps the output to ``y`` if given.  ``free`` starts all value
-    nodes at zero.
+    A forward pass sets every internal value node to its own prediction,
+    so all errors start exactly zero, then the output is clamped to
+    ``y``; its error is the target miss.
     """
-    if y is not None and not math.isfinite(float(y)):
+    if not math.isfinite(float(y)):
         raise GraphError(f"target y must be finite, got {y!r}")
     if g.vertices[g.output].is_leaf:
         raise GraphError("predictive-coding state needs a non-leaf output")
-    if mode == "zero_error":
-        trace = forward(g, params)
-        x = {vid: trace.mu[vid].copy() for vid in g.internal_ids}
-    elif mode == "free":
-        trace = forward(g, params)  # shapes only
-        x = {vid: np.zeros_like(trace.mu[vid]) for vid in g.internal_ids}
-    else:
-        raise GraphError(f"unknown init mode {mode!r}")
+    trace = forward(g, params)
+    if trace.mu[g.output].shape != ():
+        raise GraphError("clamping needs a scalar output vertex")
+    x = {vid: trace.mu[vid].copy() for vid in g.internal_ids}
+    x[g.output] = as_f64(float(y))
     zeta = {vid: trace.mu[vid] for vid in g.leaves}  # not copied: never written
-    if y is not None:
-        if trace.mu[g.output].shape != ():
-            raise GraphError("clamping needs a scalar output vertex")
-        x[g.output] = as_f64(float(y))
-    clamp = float(y) if y is not None else None
-    if mode == "free":
-        return _with_values(g, x, zeta, 0, clamp)
     # Every prediction reads only children's values, which are the forward
     # values (the clamped output is nobody's child): mu is the forward pass.
     mu = {vid: trace.mu[vid] for vid in g.internal_ids}
     eps = {vid: x[vid] - mu[vid] for vid in x}
-    return PCState(x=x, mu=mu, eps=eps, t=0, params=zeta, clamp=clamp)
+    return PCState(x=x, mu=mu, eps=eps, t=0, params=zeta)
 
 
 def relax(x: Array, eps: Array, terms: list[Array], gamma: float) -> Array:
@@ -152,27 +129,26 @@ def relax(x: Array, eps: Array, terms: list[Array], gamma: float) -> Array:
 
 
 def inference_step(state: PCState, g: Graph, gamma: float) -> PCState:
-    """One synchronous relaxation step of all unclamped value nodes.
+    """One synchronous relaxation step of every value node but the output.
 
     delta_x_i = gamma * (-eps_i + sum_{j in parents(i)} eps_j * dmu_j/dx_i),
     every term read from the time-t state; the clamped output stays put.
     Each vertex is pulled back onto its internal children only: the
     leaves read their errors in :func:`extract_updates`.
     """
-    if gamma <= 0:
-        raise GraphError("inference step size must be positive")
-    values = {**state.params, **state.x}  # node_value of every vertex
+    _check_gamma(gamma)
+    values = {**state.params, **state.x}  # what every vertex presents
     pulls = {jid: pull_back(g, jid, values, state.eps[jid],
                             g.internal_slots[jid])
              for jid in g.internal_ids if g.vertices[jid].children}
     new_x: dict[VertexId, Array] = {}
     for vid in state.x:
-        if state.clamp is not None and vid == g.output:
+        if vid == g.output:
             new_x[vid] = state.x[vid]
             continue
         new_x[vid] = relax(state.x[vid], state.eps[vid],
                            arriving(g, vid, pulls), gamma)
-    return _with_values(g, new_x, state.params, state.t + 1, state.clamp)
+    return _with_values(g, new_x, state.params, state.t + 1)
 
 
 def energy(state: PCState) -> float:
@@ -184,22 +160,19 @@ def energy(state: PCState) -> float:
 
 
 def extract_updates(state: PCState, g: Graph, lr: float,
-                    only: set[VertexId] | None = None) -> dict[VertexId, Array]:
-    """Leaf deltas read from the current state's errors.
+                    only: set[VertexId]) -> dict[VertexId, Array]:
+    """Deltas of the trainable leaves ``only``, read from the state's errors.
 
     delta_zeta_i = lr * sum_{j in parents(i)} eps_j * dmu_j/dzeta_i.
-    ``only`` restricts the extraction to a subset of trainable leaves
-    (the level schedule uses this); default is all trainable leaves.
     Each parent of a wanted leaf is pulled back once, onto the slots
     that hold wanted leaves.
     """
-    wanted = g.trainable_leaves() if only is None else only
-    for vid in wanted:
+    for vid in only:
         if not g.parents[vid]:
             raise GraphError(f"leaf {vid} has no parents to read errors from")
-    values = {**state.params, **state.x}  # node_value of every vertex
-    pulls = pull_onto(g, wanted, values, state.eps)
-    return {vid: lr * fsum_arrays(arriving(g, vid, pulls)) for vid in wanted}
+    values = {**state.params, **state.x}  # what every vertex presents
+    pulls = pull_onto(g, only, values, state.eps)
+    return {vid: lr * fsum_arrays(arriving(g, vid, pulls)) for vid in only}
 
 
 def relax_schedule(g: Graph, state: PCState, lr: float,
@@ -229,8 +202,7 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     with the snapshot before, not copied.
     """
     x, mu, eps = dict(state.x), dict(state.mu), dict(state.eps)
-    values = {**state.params, **x}  # node_value of every vertex
-    clamped = g.output if state.clamp is not None else None
+    values = {**state.params, **x}  # what every vertex presents
     pulls: dict[VertexId, tuple[Array | None, ...]] = {}
     changed = set(x)  # vertices whose eps was recomputed; step 0: all
     per_leaf: dict[VertexId, Array] = {}
@@ -239,7 +211,7 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
         due = schedule.leaves_at(t)
         if record_trace or due:
             now = PCState(x=dict(x), mu=dict(mu), eps=dict(eps), t=t,
-                          params=state.params, clamp=state.clamp)
+                          params=state.params)
             if record_trace:
                 snapshots.append(now)
             if due:
@@ -260,7 +232,7 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
                            for p in pulled for s in g.internal_slots[p]}
         moved = set()
         for v in sorted(stale):
-            if v in x and v != clamped:
+            if v in x and v != g.output:
                 new = relax(x[v], eps[v], arriving(g, v, pulls),
                             schedule.gamma)
                 # Bytes, not values: a -0.0 that becomes 0.0 is a change.
@@ -306,11 +278,11 @@ def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
     the light cone: at step t, the internal vertices at level >= t.  A
     vertex at level k is updated from levels k - 1, k and k + 1 of the
     step before, so the region is closed under the rule, and it holds
-    everything the reads and the checks of :mod:`.zil` use.
+    everything the reads and the checks of :mod:`.zil` use.  A schedule
+    is checked against the graph first (:func:`_check_schedule`).
     """
-    state = init_state(g, params, y, "zero_error")
-    if schedule.gamma <= 0:
-        raise GraphError("inference step size must be positive")
+    state = init_state(g, params, y)
+    _check_schedule(g, schedule)
     at_levels = _reads_at_levels(g, schedule)
     if at_levels and shift == 0.0 and not record_trace:
         per_leaf = _wavefront(g, state, lr, schedule.gamma)
@@ -323,6 +295,29 @@ def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
                                              record_trace)
     report = make_report(g, label, per_leaf)
     return report, ZilTrace(snapshots, per_leaf, schedule)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise GraphError(
+            f"inference step size must be finite and positive, got {gamma!r}")
+
+
+def _check_schedule(g: Graph, schedule: ZilSchedule) -> None:
+    """Raise :class:`GraphError` unless the schedule reads exactly the
+    trainable leaves, each at an integer step >= 0, and relaxes at a
+    finite positive step size."""
+    wanted = set(g.trainable_leaves())
+    if set(schedule.update_times) != wanted:
+        raise GraphError(
+            f"schedule must read exactly the trainable leaves "
+            f"{sorted(wanted)}, got {sorted(schedule.update_times)}")
+    for v, when in schedule.update_times.items():
+        # bool is an int subclass, but True is not a step.
+        if isinstance(when, bool) or not isinstance(when, int) or when < 0:
+            raise GraphError(
+                f"read time of leaf {v} must be an integer >= 0, got {when!r}")
+    _check_gamma(schedule.gamma)
 
 
 def _reads_at_levels(g: Graph, schedule: ZilSchedule) -> bool:
@@ -359,14 +354,10 @@ def _wavefront(g: Graph, state: PCState, lr: float,
 
 
 def _perturb(state: PCState, g: Graph, amount: float) -> PCState:
-    """Shift every unclamped internal value node by a constant offset."""
-    new_x = {}
-    for vid, val in state.x.items():
-        if state.clamp is not None and vid == g.output:
-            new_x[vid] = val
-        else:
-            new_x[vid] = val + amount
-    return _with_values(g, new_x, state.params, state.t, state.clamp)
+    """Shift every internal value node but the clamped output by ``amount``."""
+    new_x = {vid: val if vid == g.output else val + amount
+             for vid, val in state.x.items()}
+    return _with_values(g, new_x, state.params, state.t)
 
 
 def il_train_step(g: Graph, params: Mapping[VertexId, Array], y: float,
@@ -379,6 +370,6 @@ def il_train_step(g: Graph, params: Mapping[VertexId, Array], y: float,
     """
     if T < 1:
         raise GraphError("inference learning needs at least one step")
-    schedule = ZilSchedule("il", gamma, {v: T for v in g.trainable_leaves()})
+    schedule = ZilSchedule(gamma, {v: T for v in g.trainable_leaves()})
     report, _trace = run_schedule(g, params, y, lr, schedule, "il")
     return report

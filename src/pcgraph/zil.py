@@ -65,7 +65,7 @@ def make_schedule(g: Graph, variant: Variant) -> ZilSchedule:
                  for v in trainable}
     else:
         raise GraphError(f"unknown schedule variant {variant!r}")
-    return ZilSchedule(variant=variant, gamma=1.0, update_times=times)
+    return ZilSchedule(gamma=1.0, update_times=times)
 
 
 def zil_train_step(g: Graph, params: Mapping[VertexId, Array], y: float,
@@ -102,8 +102,7 @@ def zil_ablate(g: Graph, params: Mapping[VertexId, Array], y: float,
     schedule = base = make_schedule(g, "level_structured")
     if which == "no_level_schedule":
         last = base.steps - 1
-        schedule = replace(base, variant="ablate/no_level_schedule",
-                           update_times={v: last for v in base.update_times})
+        schedule = replace(base, update_times={v: last for v in base.update_times})
     elif which == "gamma_half":
         schedule = replace(base, gamma=0.5)
     elif which != "nonzero_init_error":
@@ -146,13 +145,14 @@ def check_quiet_window(trace: ZilTrace, g: Graph) -> tuple[bool, list[tuple]]:
     return not violations, violations
 
 
-def check_wavefront_recursion(trace: ZilTrace, g: Graph, *, tol: float = 1e-9) -> bool:
+def check_wavefront_recursion(trace: ZilTrace, g: Graph) -> bool:
     """Verify the one-step error recursion at each vertex's settling time.
 
     At t = level(j) the error of vertex j must equal gamma times the
     pulled-back errors of its parents read one step earlier, because
     that is the only step at which the wavefront crosses the edge.
-    Checked against a from-scratch recomputation out of the trace.
+    Checked against a from-scratch recomputation out of the trace, to
+    an absolute 1e-9.
     """
     structure = level_structure(g)
     gamma = trace.schedule.gamma
@@ -162,6 +162,6 @@ def check_wavefront_recursion(trace: ZilTrace, g: Graph, *, tol: float = 1e-9) -
         pulls = pull_onto(g, settling, {**prev.params, **prev.x}, prev.eps)
         for jid in settling:
             expected = gamma * fsum_arrays(arriving(g, jid, pulls))
-            if not np.allclose(as_f64(now.eps[jid]), expected, atol=tol, rtol=0.0):
+            if not np.allclose(as_f64(now.eps[jid]), expected, atol=1e-9, rtol=0.0):
                 return False
     return True

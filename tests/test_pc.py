@@ -17,7 +17,6 @@ from pcgraph.pc import (
     il_train_step,
     inference_step,
     init_state,
-    node_value,
     relax,
 )
 from pcgraph.report import divergence, make_report
@@ -42,22 +41,6 @@ def test_zero_error_init_zeroes_everything_but_the_clamp():
     assert energy(state) == 12.5
 
 
-def test_zero_error_init_without_clamp_has_no_error_at_all():
-    g, params = fig_one()
-    state = init_state(g, params)
-    assert state.clamp is None
-    assert energy(state) == 0.0
-
-
-def test_free_init_starts_value_nodes_at_zero():
-    g, params = fig_one()
-    state = init_state(g, params, y=4.0, mode="free")
-    for vid in g.internal_ids:
-        if vid != g.output:
-            assert np.all(state.x[vid] == 0.0)
-    assert float(state.x[g.output]) == 4.0
-
-
 def test_init_rejects_leaf_output():
     b = GraphBuilder()
     z = b.leaf()
@@ -67,13 +50,7 @@ def test_init_rejects_leaf_output():
     b2 = GraphBuilder()
     lone = b2.leaf()
     with pytest.raises(GraphError):
-        init_state(b2.build(lone), {lone: np.asarray(1.0)})
-
-
-def test_init_rejects_unknown_mode():
-    g, params = fig_one()
-    with pytest.raises(GraphError):
-        init_state(g, params, y=4.0, mode="warm")
+        init_state(b2.build(lone), {lone: np.asarray(1.0)}, y=1.0)
 
 
 @pytest.mark.parametrize("y", [float("inf"), float("nan")])
@@ -81,13 +58,6 @@ def test_init_rejects_a_non_finite_target(y):
     g, params = fig_one()
     with pytest.raises(GraphError, match="finite"):
         init_state(g, params, y=y)
-
-
-def test_node_value_reads_leaves_from_params():
-    g, params = fig_one()
-    state = init_state(g, params, y=4.0)
-    leaf = g.leaves[0]
-    assert np.array_equal(node_value(state, g, leaf), params[leaf])
 
 
 # -- dynamics -------------------------------------------------------------
@@ -124,18 +94,6 @@ def test_energy_descends_under_small_steps():
             now = energy(state)
             assert now <= last + 1e-12, family
             last = now
-
-
-def test_unclamped_relaxation_recovers_forward_values():
-    """Free-running value nodes settle on the feedforward sweep."""
-    g, params = models.build_model(models.ModelSpec("mlp", (3, 4, 1), "tanh", 4))
-    state = init_state(g, params, mode="free")
-    for _ in range(600):
-        state = inference_step(state, g, gamma=0.2)
-    trace = forward(g, params)
-    assert energy(state) < 1e-12
-    for vid in g.internal_ids:
-        assert np.allclose(state.x[vid], trace.mu[vid], atol=1e-6)
 
 
 def test_clamped_equilibrium_matches_constrained_minimum():
@@ -195,7 +153,6 @@ def test_clamping_needs_a_scalar_output():
     z = b.leaf()
     g = b.build(b.vertex(fns.square(), [z]))
     params = {z: np.array([1.0, 2.0])}
-    assert init_state(g, params).x[g.output].shape == (2,)
     with pytest.raises(GraphError, match="scalar output"):
         init_state(g, params, y=1.0)
 
@@ -255,10 +212,10 @@ def _all_slots_pulled(state, g):
 def _all_slot_step(state, g, gamma):
     """``inference_step`` as written before it asked for internal slots only."""
     pulls = _all_slots_pulled(state, g)
-    new_x = {vid: x if state.clamp is not None and vid == g.output
+    new_x = {vid: x if vid == g.output
              else relax(x, state.eps[vid], arriving(g, vid, pulls), gamma)
              for vid, x in state.x.items()}
-    return _with_values(g, new_x, state.params, state.t + 1, state.clamp)
+    return _with_values(g, new_x, state.params, state.t + 1)
 
 
 def _all_slot_updates(state, g, lr, wanted):

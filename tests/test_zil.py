@@ -1,5 +1,7 @@
 """Scheduled exact learning: schedules, worked traces, wavefront checks, ablations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from pcgraph.autodiff import backprop
 from pcgraph.errors import DomainError, GraphError, NotLevelled
 from pcgraph.graph import GraphBuilder, level_structure
 from pcgraph.leveller import level
-from pcgraph.pc import PCState
 from pcgraph.report import divergence
 from pcgraph.zil import (
     ABLATIONS,
@@ -62,8 +63,8 @@ def test_skip_product_layer_indexed_times():
 
 
 def test_schedule_length_follows_its_read_times():
-    assert ZilSchedule("x", 1.0, {7: 3, 9: 1}).steps == 4
-    assert ZilSchedule("x", 1.0, {}).steps == 1
+    assert ZilSchedule(1.0, {7: 3, 9: 1}).steps == 4
+    assert ZilSchedule(1.0, {}).steps == 1
 
 
 def test_level_schedule_requires_levelled_graph():
@@ -266,8 +267,7 @@ def test_wavefront_checker_detects_corruption():
     bad_eps = dict(snap.eps)
     bad_eps[hidden] = np.asarray(0.5)
     tampered = ZilTrace(
-        snapshots=(PCState(snap.x, snap.mu, bad_eps, snap.t, snap.params,
-                           snap.clamp),) + trace.snapshots[1:],
+        snapshots=(replace(snap, eps=bad_eps),) + trace.snapshots[1:],
         updates=trace.updates, schedule=trace.schedule)
     ok, violations = check_quiet_window(tampered, g)
     assert not ok
@@ -283,8 +283,7 @@ def test_quiet_window_reads_a_nan_error_as_a_violation_and_minus_zero_as_quiet(
     snap = trace.snapshots[0]
     hidden = 3  # the mid-chain vertex, level 1
     tampered = ZilTrace(
-        snapshots=(PCState(snap.x, snap.mu, {**snap.eps, hidden: np.asarray(value)},
-                           snap.t, snap.params, snap.clamp),)
+        snapshots=(replace(snap, eps={**snap.eps, hidden: np.asarray(value)}),)
         + trace.snapshots[1:],
         updates=trace.updates, schedule=trace.schedule)
     ok, violations = check_quiet_window(tampered, g)
@@ -310,9 +309,9 @@ def with_value_node(trace, vid, steps, x, eps=None):
     """``trace`` with ``vid``'s value node (and error) replaced by ``x``
     (and ``eps``) in the snapshots of ``steps``."""
     snaps = tuple(
-        PCState({**s.x, vid: x}, s.mu,
-                s.eps if eps is None else {**s.eps, vid: eps},
-                s.t, s.params, s.clamp) if t in steps else s
+        replace(s, x={**s.x, vid: x},
+                eps=s.eps if eps is None else {**s.eps, vid: eps})
+        if t in steps else s
         for t, s in enumerate(trace.snapshots))
     return ZilTrace(snaps, trace.updates, trace.schedule)
 
@@ -369,9 +368,8 @@ def test_error_recursion_check_catches_a_tampered_settled_error():
     bad_eps = dict(snap.eps)
     bad_eps[vid] = snap.eps[vid] + 1e-3
     tampered = ZilTrace(
-        snapshots=trace.snapshots[:t] + (
-            PCState(snap.x, snap.mu, bad_eps, snap.t, snap.params, snap.clamp),
-        ) + trace.snapshots[t + 1:],
+        snapshots=trace.snapshots[:t] + (replace(snap, eps=bad_eps),)
+        + trace.snapshots[t + 1:],
         updates=trace.updates, schedule=trace.schedule)
     assert check_wavefront_recursion(trace, g)
     assert not check_wavefront_recursion(tampered, g)

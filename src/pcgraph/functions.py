@@ -12,7 +12,6 @@ elementwise kinds require identical input shapes.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +21,7 @@ from typing import Callable, Collection, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeMismatch
-from .numerics import Array, as_f64
+from .numerics import Array, as_f64, exact_sum
 
 
 class FnKind(str, Enum):
@@ -208,7 +207,7 @@ KINDS: dict[FnKind, KindRule] = {
     FnKind.IDENTITY: KindRule(
         1, lambda fn, ins: ins[0].copy(), lambda fn, ins, u, want: (u.copy(),)),
     FnKind.SUM_REDUCE: KindRule(
-        1, lambda fn, ins: as_f64(math.fsum(ins[0].ravel().tolist())),
+        1, lambda fn, ins: as_f64(exact_sum(ins[0])),
         lambda fn, ins, u, want: (np.full_like(ins[0], float(u)),)),
 }
 

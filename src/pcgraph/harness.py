@@ -26,7 +26,7 @@ from .graph import Graph, VertexId
 from .leveller import level
 from .functions import ACTIVATION_NAMES
 from .models import FAMILIES, LEVELLED_FAMILIES, ModelSpec, build_model, default_dims
-from .numerics import Array
+from .numerics import Array, is_integer
 from .pc import il_train_step
 from .report import divergence
 from .zil import (ABLATIONS, check_quiet_window, make_schedule, zil_ablate,
@@ -89,16 +89,12 @@ class ExperimentConfig:
             raise GraphError(f"cannot read config {path}: {exc}") from exc
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_config(cfg: ExperimentConfig) -> None:
     """Raise :class:`GraphError` naming the first field of a wrong type
     or out of range."""
     if not all(isinstance(f, str) and f in FAMILIES for f in cfg.families):
         raise GraphError(f"config 'families' must name families from {FAMILIES}")
-    if not all(_is_int(s) and s >= 0 for s in cfg.seeds):
+    if not all(is_integer(s) and s >= 0 for s in cfg.seeds):
         raise GraphError("config 'seeds' must be integers >= 0")
     if not (isinstance(cfg.activation, str)
             and cfg.activation in ACTIVATION_NAMES):
@@ -115,7 +111,7 @@ def _check_config(cfg: ExperimentConfig) -> None:
             raise GraphError(f"config {name!r} must be >= 0")
     for name, low in (("T_il", 1), ("repetitions", 1), ("warmup", 0)):
         value = getattr(cfg, name)
-        if not _is_int(value) or value < low:
+        if not is_integer(value) or value < low:
             raise GraphError(f"config {name!r} must be an integer >= {low}")
 
 

@@ -31,6 +31,7 @@ Conventions pinned here and relied on everywhere else:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -40,7 +41,8 @@ from .autodiff import (arriving, evaluate, forward, pull_back, pull_onto,
                        reverse_sweep)
 from .errors import GraphError, NotLevelled
 from .graph import Graph, VertexId, level_structure
-from .numerics import Array, as_f64, fsum_arrays
+from .numerics import (Array, as_f64, fsum_arrays, is_integer,
+                       sum_of_squares)
 from .report import UpdateReport, make_report
 
 
@@ -72,6 +74,10 @@ class ZilSchedule:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for v, when in self.update_times.items():
+            if not is_integer(when) or when < 0:
+                raise GraphError(f"read time of leaf {v} must be an "
+                                 f"integer >= 0, got {when!r}")
         due: dict[int, list[VertexId]] = {}
         for v in sorted(self.update_times):
             due.setdefault(self.update_times[v], []).append(v)
@@ -152,11 +158,10 @@ def inference_step(state: PCState, g: Graph, gamma: float) -> PCState:
 
 
 def energy(state: PCState) -> float:
-    """Exact (order-independent) total squared error, F = 1/2 sum eps^2."""
-    squares: list[float] = []
-    for e in state.eps.values():
-        squares.extend((np.asarray(e, dtype=np.float64).ravel() ** 2).tolist())
-    return 0.5 * math.fsum(squares)
+    """Exact (order-independent) total squared error, F = 1/2 sum eps^2;
+    inf when the sum is beyond the float range."""
+    flat = [as_f64(e).ravel() for e in state.eps.values()]
+    return 0.5 * sum_of_squares(np.concatenate(flat) if flat else flat)
 
 
 def extract_updates(state: PCState, g: Graph, lr: float,
@@ -305,18 +310,13 @@ def _check_gamma(gamma: float) -> None:
 
 def _check_schedule(g: Graph, schedule: ZilSchedule) -> None:
     """Raise :class:`GraphError` unless the schedule reads exactly the
-    trainable leaves, each at an integer step >= 0, and relaxes at a
-    finite positive step size."""
+    trainable leaves and relaxes at a finite positive step size (its
+    read times were checked when it was built)."""
     wanted = set(g.trainable_leaves())
     if set(schedule.update_times) != wanted:
         raise GraphError(
             f"schedule must read exactly the trainable leaves "
             f"{sorted(wanted)}, got {sorted(schedule.update_times)}")
-    for v, when in schedule.update_times.items():
-        # bool is an int subclass, but True is not a step.
-        if isinstance(when, bool) or not isinstance(when, int) or when < 0:
-            raise GraphError(
-                f"read time of leaf {v} must be an integer >= 0, got {when!r}")
     _check_gamma(schedule.gamma)
 
 
@@ -366,9 +366,10 @@ def il_train_step(g: Graph, params: Mapping[VertexId, Array], y: float,
     """Plain inference learning: relax for T steps, then update all leaves.
 
     A schedule that reads every trainable leaf at step T, run by
-    :func:`run_schedule`.
+    :func:`run_schedule`; a T that is not an integer fails its check
+    of the read times.
     """
-    if T < 1:
+    if isinstance(T, numbers.Real) and T < 1:
         raise GraphError("inference learning needs at least one step")
     schedule = ZilSchedule(gamma, {v: T for v in g.trainable_leaves()})
     report, _trace = run_schedule(g, params, y, lr, schedule, "il")

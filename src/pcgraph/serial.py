@@ -32,14 +32,13 @@ from . import functions as fns
 from .errors import GraphError
 from .functions import ElemFn, FnKind
 from .graph import Graph, TieGroup, Vertex, VertexId
-from .numerics import Array, as_f64
+from .numerics import Array, as_f64, is_integer
 
 FORMAT = "pcgraph-v1"
 
 
 def _integer(value, what: str) -> int:
-    # bool is an int subclass, but JSON true is not an id or a count.
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise GraphError(f"{what} must be an integer, got {value!r}")
     return value
 

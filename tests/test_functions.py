@@ -1,6 +1,7 @@
 """Elementary functions: forward landmarks, vjp vs finite differences, domains."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,13 @@ def test_sum_reduce_is_exactly_rounded():
     out = fns.sum_reduce()([x])
     assert out.shape == ()
     assert float(out) == 1.0
+
+
+def test_sum_reduce_of_a_long_vector_has_math_fsum_bits():
+    x = np.random.default_rng(0).standard_normal(10_000) * 1e10
+    x[::2] = -x[1::2] * (1.0 + 2.0 ** -40)
+    out = fns.sum_reduce()([x])
+    assert out.tobytes() == np.float64(math.fsum(x.tolist())).tobytes()
 
 
 def test_identity_preserves_bits():

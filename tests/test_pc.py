@@ -1,5 +1,7 @@
 """Relaxation dynamics: initialization, energy descent, equilibria, updates."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -11,6 +13,7 @@ from pcgraph.errors import DomainError, GraphError
 from pcgraph.graph import GraphBuilder
 from pcgraph.numerics import fsum_arrays
 from pcgraph.pc import (
+    PCState,
     _with_values,
     energy,
     extract_updates,
@@ -39,6 +42,14 @@ def test_zero_error_init_zeroes_everything_but_the_clamp():
     # mu_out = 9, clamp = 4: output error is the full target miss
     assert float(state.eps[g.output]) == -5.0
     assert energy(state) == 12.5
+
+
+def test_energy_beyond_the_float_range_is_inf():
+    eps = {1: np.array([1.3e154, 1.3e154]), 2: np.asarray(-0.5)}
+    state = PCState(x=eps, mu=eps, eps=eps, t=0, params={})
+    assert energy(state) == math.inf
+    eps[1] = np.array([3.0, 4.0])
+    assert energy(state) == 12.625
 
 
 def test_init_rejects_leaf_output():
@@ -146,6 +157,13 @@ def test_il_needs_at_least_one_step():
     g, params = fig_one()
     with pytest.raises(GraphError, match="at least one step"):
         il_train_step(g, params, y=4.0, gamma=0.1, T=0)
+
+
+@pytest.mark.parametrize("T", ["2", None])
+def test_il_step_count_of_the_wrong_type_is_a_graph_error(T):
+    g, params = models.build_model(models.ModelSpec("mlp", (3, 4, 1)))
+    with pytest.raises(GraphError, match=f"got {T!r}"):
+        il_train_step(g, params, 0.5, 0.01, 0.1, T)
 
 
 def test_clamping_needs_a_scalar_output():

@@ -96,3 +96,12 @@ def test_divergence_has_the_bits_of_a_per_component_sum_of_squares():
         b = {("leaf", 0): vb[:1].reshape(()), ("leaf", 1): vb[1:]}
         got, want = divergence(a, b), per_component(a, b)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (va, vb)
+
+
+def test_divergence_beyond_the_float_range_is_inf():
+    """One rule: inf whenever the exact sum of squares overflows, whether
+    one square overflows or only their sum does."""
+    zero = {"a": np.zeros(2)}
+    assert divergence({"a": np.array([1.3e154, 1.3e154])}, zero) == math.inf
+    assert divergence({"a": np.array([1e155, 0.0])}, zero) == math.inf
+    assert divergence({"a": np.array([1e154, 1e154])}, zero) == math.sqrt(2e308)

@@ -1,5 +1,6 @@
 """Scheduled exact learning: schedules, worked traces, wavefront checks, ablations."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +66,13 @@ def test_skip_product_layer_indexed_times():
 def test_schedule_length_follows_its_read_times():
     assert ZilSchedule(1.0, {7: 3, 9: 1}).steps == 4
     assert ZilSchedule(1.0, {}).steps == 1
+
+
+@pytest.mark.parametrize("when", ["a", None, 1.0, True, -1])
+def test_a_read_time_that_is_no_step_is_a_graph_error(when):
+    with pytest.raises(GraphError, match=f"leaf 1 must be an integer >= 0, "
+                                         f"got {re.escape(repr(when))}"):
+        ZilSchedule(1.0, {1: when, 2: 0})
 
 
 def test_level_schedule_requires_levelled_graph():

@@ -38,7 +38,9 @@ class ForwardTrace:
 class BPReport:
     """Result of one reverse pass.
 
-    ``delta`` maps every vertex to its error signal dE/dmu; ``updates``
+    ``delta`` maps the output, every internal vertex and every trainable
+    leaf to its error signal dE/dmu (a data leaf's is never computed,
+    because nothing reads it); ``updates``
     holds the canonical per-parameter deltas (tie groups summed over
     members); ``per_leaf`` keeps each trainable leaf's own delta so tied
     structures can be compared member-wise.
@@ -52,11 +54,14 @@ class BPReport:
 
 # -- vertex kernels -------------------------------------------------------
 
-def evaluate(g: Graph, vid: VertexId, values: Mapping[VertexId, Array]) -> Array:
-    """Apply vertex ``vid``'s function to its children's ``values``."""
+def evaluate(g: Graph, vid: VertexId, values: Mapping[VertexId, Array],
+             check: bool = False) -> Array:
+    """Apply vertex ``vid``'s function to its children's ``values``,
+    validating them first (:meth:`ElemFn.check`) if ``check`` is set."""
     v = g.vertices[vid]
+    ins = [values[c] for c in v.children]
     try:
-        return v.fn([values[c] for c in v.children])
+        return v.fn(v.fn.check(ins) if check else ins)
     except DomainError as err:
         raise err.at_vertex(vid) from None
 
@@ -108,26 +113,32 @@ def reverse_sweep(g: Graph, values: Mapping[VertexId, Array], seed: Array,
                   ) -> dict[VertexId, Array]:
     """Every vertex's signal, in ``g.order`` from ``seed`` at the output.
 
-    A leaf's signal is the sum of its arriving pulls, an internal
-    vertex's is ``settle(vid, terms)``; each vertex with children is
-    then pulled back once through ``values``.  Backprop and the Z-IL
-    wavefront engine are this walk with different settle rules.
+    A trainable leaf's signal is the sum of its arriving pulls, an
+    internal vertex's is ``settle(vid, terms)``; each vertex with
+    children is then pulled back once through ``values``, onto the
+    slots of ``g.sweep_slots``.  A data leaf gets no signal.  Backprop
+    and the Z-IL wavefront engine are this walk with different settle
+    rules.
     """
     signal: dict[VertexId, Array] = {g.output: seed}
-    pulls: dict[VertexId, tuple[Array, ...]] = {}
+    pulls: dict[VertexId, tuple[Array | None, ...]] = {}
     for vid in g.order:
+        v = g.vertices[vid]
         if vid != g.output:
-            terms = arriving(g, vid, pulls)
-            signal[vid] = (fsum_arrays(terms) if g.vertices[vid].is_leaf
-                           else settle(vid, terms))
-        if g.vertices[vid].children:
-            pulls[vid] = pull_back(g, vid, values, signal[vid])
+            if not v.is_leaf:
+                signal[vid] = settle(vid, arriving(g, vid, pulls))
+            elif v.trainable:
+                signal[vid] = fsum_arrays(arriving(g, vid, pulls))
+        if v.children:
+            pulls[vid] = pull_back(g, vid, values, signal[vid],
+                                   g.sweep_slots[vid])
     return signal
 
 
 def forward(g: Graph, params: Mapping[VertexId, Array],
             overrides: Mapping[VertexId, Array] | None = None) -> ForwardTrace:
-    """Evaluate every vertex bottom-up.
+    """Evaluate every vertex bottom-up, validating each vertex's inputs
+    (:meth:`ElemFn.check`): every run starts from this pass.
 
     ``overrides`` forces selected vertices to given values instead of
     evaluating them — the hook the finite-difference oracle for error
@@ -141,7 +152,7 @@ def forward(g: Graph, params: Mapping[VertexId, Array],
         elif g.vertices[vid].is_leaf:
             mu[vid] = as_f64(params[vid])
         else:
-            mu[vid] = evaluate(g, vid, mu)
+            mu[vid] = evaluate(g, vid, mu, check=True)
     return ForwardTrace(mu=mu)
 
 

@@ -6,13 +6,21 @@ admissible domain and knows how to pull an upstream cotangent back onto
 each input slot (`vjp`) — which is everything reverse differentiation
 and the predictive-coding dynamics need.
 
-Values are float64 ndarrays; scalars are 0-d arrays.  No broadcasting:
-elementwise kinds require identical input shapes.
+Values are float64 ndarrays; scalars are 0-d arrays or NumPy float64
+scalars.  No broadcasting: elementwise kinds require identical input
+shapes.
+
+Validation lives in one place, :meth:`ElemFn.check`: the arity, the
+float64 coercion and the kind's shape rule.  A run checks each vertex
+once, in the forward pass that starts it; every later value keeps its
+forward shape, so ``__call__`` and ``vjp`` are the bare kind rules and
+their callers vouch for inputs that ``check`` accepted (or values of
+the same shapes).  A kind's value checks, such as ``sqrt``'s domain,
+stay in its rules and run on every call and every pull.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -21,7 +29,7 @@ from typing import Callable, Collection, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeMismatch
-from .numerics import Array, as_f64, exact_sum
+from .numerics import Array, as_f64, ieee_sum
 
 
 class FnKind(str, Enum):
@@ -46,7 +54,9 @@ class ElemFn:
 
     ``name`` selects the activation nonlinearity; ``value`` is the
     payload of a constant vertex.  What the kind computes is its row in
-    :data:`KINDS`.
+    :data:`KINDS`.  :meth:`check` validates inputs; ``__call__`` and
+    :meth:`vjp` run the kind's rules on inputs as given, so a caller
+    passes them only values of the shapes ``check`` accepted.
     """
 
     kind: FnKind
@@ -66,8 +76,12 @@ class ElemFn:
             raise ValueError(f"unknown activation {self.name!r}")
 
     def __call__(self, inputs: Sequence[Array]) -> Array:
-        """Evaluate the function on its inputs (one array per child slot)."""
-        return KINDS[self.kind].forward(self, self._checked(inputs))
+        """Evaluate the function on its inputs (one array per child slot).
+
+        The inputs are taken as given: the caller vouches that
+        :meth:`check` accepts them.
+        """
+        return KINDS[self.kind].forward(self, inputs)
 
     def vjp(self, inputs: Sequence[Array], upstream: Array,
             slots: Collection[int] | None = None) -> tuple[Array | None, ...]:
@@ -76,14 +90,17 @@ class ElemFn:
         Returns one entry per child slot: an array shaped like that input
         for each slot in ``slots`` (default: every slot), None for the
         others.  A one-input kind runs its rule whatever is asked, so its
-        domain check holds in every pull.
+        domain check holds in every pull.  As for :meth:`__call__`, the
+        caller vouches for the inputs, and ``upstream`` is a float64
+        value shaped like the output.
         """
         want = range(self.arity) if slots is None else slots
-        back = KINDS[self.kind].vjp(self, self._checked(inputs),
-                                    as_f64(upstream), want)
+        back = KINDS[self.kind].vjp(self, inputs, upstream, want)
         return back if self.arity != 1 or 0 in want else (None,)
 
-    def _checked(self, inputs: Sequence[Array]) -> tuple[Array, ...]:
+    def check(self, inputs: Sequence[Array]) -> tuple[Array, ...]:
+        """The inputs as float64 arrays, once their count and shapes are
+        ones this function takes; raises :class:`ShapeMismatch` if not."""
         if len(inputs) != self.arity:
             raise ShapeMismatch(
                 f"{self.kind.value} expects {self.arity} inputs, got {len(inputs)}"
@@ -102,10 +119,12 @@ class KindRule(NamedTuple):
 
     ``arity`` is the fixed input count, or None for a variadic kind
     (at least two inputs).  ``forward(fn, ins)`` and
-    ``vjp(fn, ins, upstream, want)`` receive coerced inputs; ``vjp``
+    ``vjp(fn, ins, upstream, want)`` receive inputs that ``check``
+    accepted, or values of the same shapes; ``vjp``
     computes the pulls onto the slots in ``want`` and None for the
     others, and a one-input kind computes its one pull regardless.
-    ``check(fn, ins)`` rejects input shapes the kind cannot take.
+    ``check(fn, ins)`` rejects input shapes the kind cannot take; it
+    runs in :meth:`ElemFn.check` only, never per evaluation or pull.
     """
 
     arity: int | None
@@ -169,19 +188,23 @@ _activation_derivs = {
     "logistic": lambda x: _logistic(x) * (1.0 - _logistic(x)),
 }
 
+# Where two inputs, or an input and the upstream, are added or multiplied,
+# the ufuncs do it: between two NumPy scalars ``+`` and ``*`` return the
+# second of two NaN operands where an array operation returns the first,
+# so a scalar vertex would give other NaN bits than a 0-d array one.
 KINDS: dict[FnKind, KindRule] = {
     FnKind.CONSTANT: KindRule(
         0, lambda fn, ins: as_f64(fn.value), lambda fn, ins, u, want: ()),
     FnKind.ADD: KindRule(
-        None, lambda fn, ins: reduce(operator.add, ins),
+        None, lambda fn, ins: reduce(np.add, ins),
         lambda fn, ins, u, want: tuple([u.copy() if s in want else None
                                         for s in range(len(ins))]),
         _same_shapes),
     FnKind.MULTIPLY: KindRule(
-        None, lambda fn, ins: reduce(operator.mul, ins),
+        None, lambda fn, ins: reduce(np.multiply, ins),
         # each slot's pull is upstream times every other input
         lambda fn, ins, u, want: tuple([
-            reduce(operator.mul, ins[:s] + ins[s + 1:], u) if s in want else None
+            reduce(np.multiply, ins[:s] + ins[s + 1:], u) if s in want else None
             for s in range(len(ins))]),
         _same_shapes),
     # ins = (weights, vector)
@@ -192,11 +215,12 @@ KINDS: dict[FnKind, KindRule] = {
         _matvec_shapes),
     FnKind.SQUARE: KindRule(
         1, lambda fn, ins: ins[0] * ins[0],
-        lambda fn, ins, u, want: (2.0 * ins[0] * u,)),
+        lambda fn, ins, u, want: (np.multiply(2.0 * ins[0], u),)),
     FnKind.SQRT: KindRule(1, _sqrt, _sqrt_vjp),
     FnKind.ACTIVATION: KindRule(
         1, lambda fn, ins: _activations[fn.name](ins[0]),
-        lambda fn, ins, u, want: (_activation_derivs[fn.name](ins[0]) * u,)),
+        lambda fn, ins, u, want: (
+            np.multiply(_activation_derivs[fn.name](ins[0]), u),)),
     # ins = (kernel, signal)
     FnKind.CONVOLVE1D: KindRule(
         2, lambda fn, ins: np.correlate(ins[1], ins[0], mode="valid"),
@@ -207,7 +231,7 @@ KINDS: dict[FnKind, KindRule] = {
     FnKind.IDENTITY: KindRule(
         1, lambda fn, ins: ins[0].copy(), lambda fn, ins, u, want: (u.copy(),)),
     FnKind.SUM_REDUCE: KindRule(
-        1, lambda fn, ins: as_f64(exact_sum(ins[0])),
+        1, lambda fn, ins: as_f64(ieee_sum(ins[0])),
         lambda fn, ins, u, want: (np.full_like(ins[0], float(u)),)),
 }
 

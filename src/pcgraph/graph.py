@@ -17,7 +17,6 @@ recurrent weights); their update is the sum of the member updates.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -35,7 +34,7 @@ from .errors import (
     UnreachableVertex,
 )
 from .functions import ElemFn
-from .numerics import Array, as_f64
+from .numerics import Array, all_finite, as_f64
 
 VertexId = int
 
@@ -85,7 +84,8 @@ class Graph:
     direct construction validates too.  Construction also computes the
     graph's plan once: ``order`` (see :func:`topological_sort`),
     ``internal_ids`` (non-leaf ids, ascending), ``internal_slots[vid]``
-    (the slots of ``vid`` whose child is internal), the trainable
+    (the slots of ``vid`` whose child is internal), ``sweep_slots[vid]``
+    (those whose child is internal or a trainable leaf), the trainable
     leaves, ``param_keys`` (see :func:`param_keys`) and
     ``group_by_id``.  The level structure is
     computed on first use by :func:`level_structure` and kept, whether
@@ -113,6 +113,11 @@ class Graph:
         self.internal_slots: tuple[tuple[int, ...], ...] = tuple(
             tuple(s for s, c in enumerate(v.children)
                   if not self.vertices[c].is_leaf)
+            for v in self.vertices)
+        self.sweep_slots: tuple[tuple[int, ...], ...] = tuple(
+            tuple(s for s, c in enumerate(v.children)
+                  if not self.vertices[c].is_leaf
+                  or self.vertices[c].trainable)
             for v in self.vertices)
         self._trainable_leaves: tuple[VertexId, ...] = tuple(
             v for v in self.leaves if self.vertices[v].trainable)
@@ -314,23 +319,17 @@ def param_keys(g: Graph) -> tuple[ParamKey, ...]:
     return g.param_keys
 
 
-def _all_finite(a: Array) -> bool:
-    # A finite a.a shows every component finite in one BLAS call; only a
-    # product that overflowed needs the componentwise test.
-    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
-
-
 def check_params(g: Graph, params: Mapping[VertexId, Array]) -> None:
     """Validate that ``params`` covers all leaves with finite values and
     respects tie groups."""
     for v in g.leaves:
         if v not in params:
             raise GraphError(f"missing value for leaf {v}")
-        if v not in g.group_of and not _all_finite(as_f64(params[v])):
+        if v not in g.group_of and not all_finite(as_f64(params[v])):
             raise GraphError(f"non-finite value for leaf {v}")
     for grp in g.tie_groups:
         first = as_f64(params[grp.members[0]])
-        if not _all_finite(first):
+        if not all_finite(first):
             raise GraphError(f"non-finite value for tie group {grp.group_id!r}")
         for m in grp.members[1:]:
             if not np.array_equal(first, as_f64(params[m])):

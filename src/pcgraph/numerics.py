@@ -52,6 +52,15 @@ def as_f64(value) -> Array:
     return np.asarray(value, dtype=np.float64)
 
 
+def all_finite(a: Array) -> bool:
+    """Whether every component of the float64 array ``a`` is finite."""
+    if a.ndim == 0:
+        return math.isfinite(a)
+    # A finite a.a shows every component finite in one BLAS call; only a
+    # product that overflowed needs the componentwise test.
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def _squares(values: Array) -> Array:
     """Elementwise squares; one that overflows is inf, as in Python."""
     with np.errstate(over="ignore"):
@@ -151,6 +160,24 @@ def exact_sum(values: Array | Sequence[float]) -> float:
     order; an inf or a nan among them gives ``math.fsum``'s outcome.
     """
     return _exact_sum(as_f64(values).ravel())
+
+
+def ieee_sum(values: Array | Sequence[float]) -> float:
+    """:func:`exact_sum` with IEEE's outcome where that raises: ±inf
+    where the sum is beyond the float range, which is its correctly
+    rounded value, and nan for inf - inf, as an array addition gives.
+    """
+    flat = as_f64(values).ravel()
+    try:
+        try:
+            return _exact_sum(flat)
+        except OverflowError:
+            # Scaling by 2**-64 is exact but for underflow, which cannot
+            # flip the sign of a sum this large, and brings it in range.
+            total = _exact_sum(np.ldexp(flat, -64))
+    except ValueError:  # inf - inf among the entries
+        return math.nan
+    return math.copysign(math.inf, total) if math.isfinite(total) else total
 
 
 def sum_of_squares(values: Array | Sequence[float]) -> float:

@@ -41,7 +41,7 @@ from .autodiff import (arriving, evaluate, forward, pull_back, pull_onto,
                        reverse_sweep)
 from .errors import GraphError, NotLevelled
 from .graph import Graph, VertexId, level_structure
-from .numerics import (Array, as_f64, fsum_arrays, is_integer,
+from .numerics import (Array, all_finite, as_f64, fsum_arrays, is_integer,
                        sum_of_squares)
 from .report import UpdateReport, make_report
 
@@ -130,7 +130,17 @@ def init_state(g: Graph, params: Mapping[VertexId, Array],
 
 
 def relax(x: Array, eps: Array, terms: list[Array], gamma: float) -> Array:
-    """The value-node rule: x + gamma * (-eps + sum of the arriving ``terms``)."""
+    """The value-node rule: x + gamma * (-eps + sum of the arriving ``terms``).
+
+    The sum is correctly rounded (:func:`fsum_arrays`).  With one term
+    it is one subtraction, ``(term - eps) + 0.0``: it rounds as
+    ``-eps + term`` does and gives the same signs of zero.  Where that
+    is not finite, the exact sum decides, as with several terms.
+    """
+    if len(terms) == 1:
+        step = (terms[0] - eps) + 0.0
+        if all_finite(step):
+            return x + gamma * step
     return x + gamma * fsum_arrays([-eps, *terms])
 
 

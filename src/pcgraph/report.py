@@ -54,12 +54,18 @@ def divergence(a: UpdateReport | Mapping[ParamKey, Array],
     if list(ua.keys()) != list(ub.keys()):
         raise ShapeMismatch(
             f"parameter keys differ: {list(ua)} vs {list(ub)}")
-    diffs: list[Array] = []
+    pairs = []
     for key in ua:
         va = np.asarray(ua[key], dtype=np.float64)
         vb = np.asarray(ub[key], dtype=np.float64)
         if va.shape != vb.shape:
             raise ShapeMismatch(
                 f"shape mismatch at {key}: {va.shape} vs {vb.shape}")
-        diffs.append((va - vb).ravel())
-    return l2_norm(np.concatenate(diffs) if diffs else diffs)
+        pairs.append((va, vb))
+    # Every difference lands in one buffer, which the norm reads once.
+    diffs = np.empty(sum(va.size for va, _vb in pairs))
+    start = 0
+    for va, vb in pairs:
+        np.subtract(va, vb, out=diffs[start:start + va.size].reshape(va.shape))
+        start += va.size
+    return l2_norm(diffs)

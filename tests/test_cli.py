@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from pcgraph import functions as fns
 from pcgraph import serial
 from pcgraph.cli import main
+from pcgraph.graph import GraphBuilder
 from pcgraph.models import ModelSpec, build_model
 
 
@@ -82,6 +85,18 @@ def test_grad_check_fails_when_a_finite_param_overflows(tmp_path, capsys):
     serial.save_graph(path, g, {**params, max(g.leaves): 1e300})
     assert main(["grad-check", "--graph", str(path)]) == 1
     assert "FAILED: max relative error nan" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_grad_check_fails_when_a_sum_reduce_overflows(tmp_path, capsys):
+    b = GraphBuilder()
+    w = b.leaf()
+    g = b.build(b.vertex(fns.sum_reduce(), [w]))
+    path = tmp_path / "overflow.json"
+    serial.save_graph(path, g, {w: np.array([1e308, 1e308])})
+    assert main(["grad-check", "--graph", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED: max relative error nan" in err and "Traceback" not in err
 
 
 def test_grad_check_rejects_a_non_finite_target(skipchain_file, capsys):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcgraph import functions as fns
-from pcgraph.errors import DomainError, ShapeMismatch
+from pcgraph.autodiff import forward
+from pcgraph.errors import ArityMismatch, DomainError, ShapeMismatch
+from pcgraph.graph import GraphBuilder
 
 
 def numeric_vjp(fn, inputs, upstream, h=1e-6):
@@ -97,6 +99,30 @@ def test_sum_reduce_of_a_long_vector_has_math_fsum_bits():
     x[::2] = -x[1::2] * (1.0 + 2.0 ** -40)
     out = fns.sum_reduce()([x])
     assert out.tobytes() == np.float64(math.fsum(x.tolist())).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # add's overflow
+def test_sum_reduce_beyond_the_float_range_is_what_add_gives():
+    """An overflowing sum is inf, and inf - inf is nan, as an array
+    addition gives; neither raises from a forward pass."""
+    b = GraphBuilder()
+    w = b.leaf()
+    g = b.build(b.vertex(fns.sum_reduce(), [w]))
+    for big in (1e308, -1e308):
+        pair = [np.asarray(big), np.asarray(big)]
+        out = forward(g, {w: np.array([big, big])}).mu[g.output]
+        assert out.tobytes() == fns.add()(pair).tobytes()
+        assert out == math.copysign(math.inf, big)
+        # past math.fsum's cut-over, and with an inf among the entries
+        assert fns.sum_reduce()([np.full(3000, big)]) == out
+        assert fns.sum_reduce()([np.array([big, big, -out])]) == -out
+    # an internal vertex that overflows to +inf and -inf before the sum
+    b = GraphBuilder()
+    w = b.leaf()
+    g = b.build(b.vertex(fns.sum_reduce(), [b.vertex(fns.add(), [w, w])]))
+    out = forward(g, {w: np.array([1e308, -1e308])}).mu[g.output]
+    assert math.isnan(out) and math.isnan(fns.add()([np.asarray(np.inf),
+                                                     np.asarray(-np.inf)]))
 
 
 def test_identity_preserves_bits():
@@ -230,12 +256,27 @@ def test_arity_validation():
         fns.ElemFn(fns.FnKind.CONSTANT, 0)  # constant without payload
 
 
+SHAPE_MISMATCHES = [
+    (fns.add(), [np.zeros(2), np.zeros(3)]),
+    (fns.matvec(), [np.zeros((2, 3)), np.zeros(2)]),
+    (fns.convolve1d(), [np.zeros(4), np.zeros(2)]),  # kernel longer than signal
+]
+
+
 def test_shape_checking():
+    """Inputs are validated by ``ElemFn.check``, which the forward pass
+    runs on every vertex; the bare ``__call__`` and ``vjp`` do not."""
+    for fn, inputs in SHAPE_MISMATCHES:
+        with pytest.raises(ShapeMismatch):
+            fn.check(inputs)
+        b = GraphBuilder()
+        leaves = [b.leaf() for _ in inputs]
+        g = b.build(b.vertex(fns.sum_reduce(), [b.vertex(fn, leaves)]))
+        with pytest.raises(ShapeMismatch):
+            forward(g, dict(zip(leaves, inputs)))
     with pytest.raises(ShapeMismatch):
-        fns.add()([np.zeros(2), np.zeros(3)])
-    with pytest.raises(ShapeMismatch):
-        fns.matvec()([np.zeros((2, 3)), np.zeros(2)])
-    with pytest.raises(ShapeMismatch):
-        fns.convolve1d()([np.zeros(4), np.zeros(2)])  # kernel longer than signal
-    with pytest.raises(ShapeMismatch):
-        fns.square()([np.zeros(2), np.zeros(2)])
+        fns.square().check([np.zeros(2), np.zeros(2)])
+    b = GraphBuilder()
+    z1, z2 = b.leaf(), b.leaf()
+    with pytest.raises(ArityMismatch):
+        b.build(b.vertex(fns.square(), [z1, z2]))

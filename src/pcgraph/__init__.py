@@ -62,7 +62,6 @@ from .zil import (
     ZilSchedule,
     ZilTrace,
     check_quiet_window,
-    check_wavefront_recursion,
     make_schedule,
     zil_ablate,
     zil_train_step,

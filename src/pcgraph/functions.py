@@ -125,6 +125,11 @@ class KindRule(NamedTuple):
     others, and a one-input kind computes its one pull regardless.
     ``check(fn, ins)`` rejects input shapes the kind cannot take; it
     runs in :meth:`ElemFn.check` only, never per evaluation or pull.
+
+    Neither ``forward`` nor ``vjp`` returns an array that shares memory
+    with an input or with ``upstream`` (so ``identity`` and ``add``
+    copy): the step engine hands them views of buffers that it writes
+    in place later, and keeps what they return.
     """
 
     arity: int | None

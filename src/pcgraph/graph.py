@@ -77,6 +77,24 @@ class LevelStructure:
         return self.buckets[k] if 0 <= k <= self.max_level else ()
 
 
+@dataclass(frozen=True)
+class StepStructure:
+    """Where the arriving terms of a relaxation step come from.
+
+    ``single`` holds the internal vertices with one arriving term (one
+    (parent, slot) entry in ``parents``), ``several`` those with more,
+    both ascending; the output, with none, is in neither.  Per vertex
+    p, ``feeds[p]`` holds the (slot, child) pairs of p's internal slots
+    whose child is in ``single``, and ``several_children[p]`` p's
+    distinct children in ``several``.
+    """
+
+    single: tuple[VertexId, ...]
+    several: tuple[VertexId, ...]
+    feeds: tuple[tuple[tuple[int, VertexId], ...], ...]
+    several_children: tuple[tuple[VertexId, ...], ...]
+
+
 class Graph:
     """Validated, immutable computational graph.
 
@@ -89,7 +107,8 @@ class Graph:
     leaves, ``param_keys`` (see :func:`param_keys`) and
     ``group_by_id``.  The level structure is
     computed on first use by :func:`level_structure` and kept, whether
-    it is a partition or a :class:`NotLevelled` outcome.
+    it is a partition or a :class:`NotLevelled` outcome; so is the step
+    structure, by :func:`step_structure`.
     """
 
     def __init__(self, vertices: Sequence[Vertex], output: VertexId,
@@ -126,6 +145,7 @@ class Graph:
             *(("leaf", v) for v in self._trainable_leaves
               if v not in self.group_of))
         self._levels: LevelStructure | tuple | None = None  # see level_structure
+        self._steps: StepStructure | None = None  # see step_structure
 
     # -- accessors -------------------------------------------------------
 
@@ -311,6 +331,24 @@ def level_structure(g: Graph) -> LevelStructure:
     if isinstance(g._levels, tuple):
         raise NotLevelled(*g._levels)
     return g._levels
+
+
+def step_structure(g: Graph) -> StepStructure:
+    """Who feeds whom in a relaxation step; computed once per graph."""
+    if g._steps is None:
+        single = tuple(v for v in g.internal_ids if len(g.parents[v]) == 1)
+        several = tuple(v for v in g.internal_ids if len(g.parents[v]) > 1)
+        ones, many = set(single), set(several)
+        slots = g.internal_slots
+        g._steps = StepStructure(
+            single=single, several=several,
+            feeds=tuple(tuple((s, v.children[s]) for s in slots[v.id]
+                              if v.children[s] in ones)
+                        for v in g.vertices),
+            several_children=tuple(
+                tuple({v.children[s] for s in slots[v.id]} & many)
+                for v in g.vertices))
+    return g._steps
 
 
 def param_keys(g: Graph) -> tuple[ParamKey, ...]:

@@ -236,15 +236,3 @@ def l2_norm(values: Array | Sequence[float]) -> float:
     (:func:`sum_of_squares`); inf when that sum is beyond the float
     range."""
     return math.sqrt(sum_of_squares(values))
-
-
-def angle_degrees(a: Array, b: Array) -> float:
-    """Angle between two flat vectors, in degrees."""
-    a = as_f64(a).ravel()
-    b = as_f64(b).ravel()
-    na = l2_norm(a)
-    nb = l2_norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("angle undefined for zero vectors")
-    cos = exact_sum(a * b) / (na * nb)
-    return math.degrees(math.acos(max(-1.0, min(1.0, cos))))

@@ -17,6 +17,16 @@ runner picks the engine: the step engine, :func:`relax_schedule`, or,
 where every leaf is read at level(leaf) - 1 on a levelled graph, one
 reverse sweep, :func:`_wavefront`, that gives the same bytes.
 
+The step engine holds the x, mu and eps of every internal vertex in
+place, in flat float64 buffers, and relaxes them all at once, a few
+whole-buffer NumPy calls a step; predictions and pulls are recomputed
+per vertex where a value moved.  What it returns holds no view of a
+buffer: a traced run's snapshots copy out only what was recomputed
+since the snapshot before.  A step that is not finite runs
+:func:`relax` per vertex instead, where each 0-d value node is passed
+as the NumPy scalar or 0-d array the rule would hold, because between
+two NaN operands a scalar ``+`` keeps another NaN than an array does.
+
 Conventions pinned here and relied on everywhere else:
 
 * eps = x - mu (so a clamped target above the prediction gives a
@@ -33,14 +43,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
 
 from .autodiff import (arriving, evaluate, forward, pull_back, pull_onto,
                        reverse_sweep)
-from .errors import GraphError, NotLevelled
-from .graph import Graph, VertexId, level_structure
+from .errors import GraphError, NonFiniteSum, NotLevelled
+from .graph import Graph, VertexId, level_structure, step_structure
 from .numerics import (Array, all_finite, as_f64, fsum_arrays, is_integer,
                        sum_of_squares)
 from .report import UpdateReport, make_report
@@ -200,67 +211,142 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     Step t reads the leaves due at t (:func:`extract_updates`), then
     applies the rule of :func:`inference_step` (its pulls,
     :func:`relax`, then mu and eps from the new values); the last step
-    only reads.  The rule is a pure function, so a quantity whose inputs
-    kept their bytes since the step before keeps its bytes and is not
-    recomputed.  Only value nodes are compared, by bytes: a prediction
-    is recomputed when a child's value moved, an error when its x moved
-    or its mu was recomputed, a pull when its vertex's error was
-    recomputed, and a value node when its x moved, its error was
-    recomputed or a parent was pulled.  Step 0 pulls every vertex back,
-    as backprop does, even in a one-step run, so it raises where
-    backprop raises.
+    only reads.  Step 0 pulls every vertex back, as backprop does, even
+    in a one-step run, so it raises where backprop raises.
+
+    The x, mu and eps of every internal vertex live in three flat
+    float64 buffers, in the order of :func:`step_structure` (one-term
+    vertices, then several-term ones, then the output), and a fourth
+    holds the one arriving pull of each one-term vertex; the per-vertex
+    values are reshaped views of them.  A step is a few whole-buffer
+    operations: ``(pull - eps) + 0.0``, ``x + gamma * step``, the
+    output and the vertices outside the region held at their x, a byte
+    compare of old and new x per vertex (so a -0.0 that becomes 0.0 is
+    a move), and eps = x - mu.  The rule is a pure function, so only
+    what a move reaches is recomputed per vertex: a prediction when a
+    child's value moved, a pull when its vertex's eps may have changed,
+    and the exact sum of a several-term vertex when its eps or a
+    parent's pull may have.  Where a step is not finite, :func:`relax`
+    runs per vertex in ascending id, so it raises where and as the
+    rule does.  There a 0-d x that started as a NumPy scalar, or has
+    moved (the rule returns one), is passed as a scalar, because
+    between two NaN operands a scalar ``+`` keeps another NaN than an
+    array one does.
 
     With ``cone`` given, the vertices in ``cone[t]`` leave the region
     after step t's pulls; the caller vouches that no later step reads
     them.  ``snapshots[t]`` holds the region at step t when
-    ``record_trace`` is set; an array that was not recomputed is shared
-    with the snapshot before, not copied.
+    ``record_trace`` is set.  Snapshot 0 holds the start state's own
+    arrays; a later one copies the values recomputed since the one
+    before and shares every other array with it, so no snapshot holds
+    a view of a buffer.
     """
-    x, mu, eps = dict(state.x), dict(state.mu), dict(state.eps)
+    plan = step_structure(g)
+    order = (*plan.single, *plan.several, g.output)
+    sizes = [state.x[v].size for v in order]
+    span = {v: slice(end - size, end)
+            for v, size, end in zip(order, sizes, accumulate(sizes))}
+    X, MU, EPS = (np.concatenate([part[v] for v in order], axis=None)
+                  for part in (state.x, state.mu, state.eps))
+    n_single, n_relaxed = sum(sizes[:len(plan.single)]), span[g.output].start
+    IN, STEP, NEW = np.zeros(n_single), np.zeros(n_relaxed), np.empty(n_relaxed)
+    XR = X[:n_relaxed]  # the output is never relaxed
+    in_step, in_eps = STEP[:n_single], EPS[:n_single]
+    old_bits, new_bits = XR.view(np.int64), NEW.view(np.int64)
+    differs = np.empty(n_relaxed, dtype=bool)
+
+    def view(buf: Array, v: VertexId) -> Array:
+        return buf[span[v]].reshape(state.x[v].shape)
+
+    x = {v: view(X, v) for v in state.x}  # the region, popped by the cone
+    mu = {v: view(MU, v) for v in state.x}
+    eps = {v: view(EPS, v) for v in state.x}
     values = {**state.params, **x}  # what every vertex presents
+    arrived = {v: view(IN, v) for v in plan.single}
+    sums = {v: view(STEP, v) for v in plan.several}
+    relaxed = [v for v, size in zip(order[:-1], sizes) if size]
+    heads = np.array([span[v].start for v in relaxed], dtype=np.intp)
+    relaxed = np.array(relaxed, dtype=np.intp)
+    frozen = np.zeros(n_relaxed, dtype=bool)  # left the region
+    # The 0-d values the rule would hold as NumPy scalars: those that
+    # start as one and those that moved (relax returns a scalar).
+    scalars = {v for v, val in state.x.items() if isinstance(val, np.generic)}
+    shown = (dict(state.x), dict(state.mu), dict(state.eps)) \
+        if record_trace else ()
     pulls: dict[VertexId, tuple[Array | None, ...]] = {}
     changed = set(x)  # vertices whose eps was recomputed; step 0: all
     per_leaf: dict[VertexId, Array] = {}
     snapshots: list[PCState] = []
     for t in range(schedule.steps):
         due = schedule.leaves_at(t)
-        if record_trace or due:
-            now = PCState(x=dict(x), mu=dict(mu), eps=dict(eps), t=t,
-                          params=state.params)
-            if record_trace:
-                snapshots.append(now)
-            if due:
-                per_leaf.update(extract_updates(now, g, lr, only=set(due)))
+        if record_trace:
+            snapshots.append(PCState(x=dict(shown[0]), mu=dict(shown[1]),
+                                     eps=dict(shown[2]), t=t,
+                                     params=state.params))
+        if due:  # untraced, the reads take the live views and keep none
+            now = snapshots[-1] if record_trace else PCState(
+                x=x, mu=mu, eps=eps, t=t, params=state.params)
+            per_leaf.update(extract_updates(now, g, lr, only=set(due)))
         last = t == schedule.steps - 1
         if last and t > 0:
             break
         pulled = sorted(p for p in changed if g.vertices[p].children)
         for p in pulled:
-            pulls[p] = pull_back(g, p, values, eps[p], g.internal_slots[p])
+            pulls[p] = pull = pull_back(g, p, values, eps[p],
+                                        g.internal_slots[p])
+            for slot, c in plan.feeds[p]:
+                arrived[c][...] = pull[slot]
         if last:  # a one-step run pulls only for backprop's domain checks
             break
         if cone is not None:
-            for region in (x, mu, eps):
-                for v in cone[t]:
+            for v in cone[t]:
+                for region in (x, mu, eps, *shown):
                     region.pop(v, None)
-        stale = changed | {g.vertices[p].children[s]
-                           for p in pulled for s in g.internal_slots[p]}
-        moved = set()
-        for v in sorted(stale):
-            if v in x and v != g.output:
-                new = relax(x[v], eps[v], arriving(g, v, pulls),
-                            schedule.gamma)
-                # Bytes, not values: a -0.0 that becomes 0.0 is a change.
-                if new.tobytes() != x[v].tobytes():
-                    x[v] = values[v] = new
-                    moved.add(v)
+                if v in span and v != g.output:
+                    frozen[span[v]] = True
+        np.subtract(IN, in_eps, out=in_step)
+        np.add(in_step, 0.0, out=in_step)
+        try:
+            if plan.several:
+                stale = changed.intersection(plan.several).union(
+                    *(plan.several_children[p] for p in pulled))
+                for v in sorted(stale.intersection(x)):
+                    sums[v][...] = fsum_arrays([-eps[v],
+                                                *arriving(g, v, pulls)])
+        except NonFiniteSum:
+            finite = False
+        else:
+            finite = all_finite(STEP)
+        if finite:
+            np.multiply(STEP, schedule.gamma, out=NEW)
+            np.add(XR, NEW, out=NEW)
+        else:
+            np.copyto(NEW, XR)
+            stale = changed.union(*({g.vertices[p].children[s]
+                                     for s in g.internal_slots[p]}
+                                    for p in pulled))
+            for v in sorted(stale.intersection(x).difference([g.output])):
+                view(NEW, v)[...] = relax(x[v][()] if v in scalars else x[v],
+                                          eps[v], arriving(g, v, pulls),
+                                          schedule.gamma)
+        if cone is not None:
+            np.copyto(NEW, XR, where=frozen)
+        # Bytes, not values: a -0.0 that becomes 0.0 is a move.
+        np.not_equal(new_bits, old_bits, out=differs)
+        moved = (relaxed[np.logical_or.reduceat(differs, heads)].tolist()
+                 if np.count_nonzero(differs) else [])
+        np.copyto(XR, NEW)
+        scalars.update(moved)
         evaluated = sorted({p for v in moved for p, _slot in g.parents[v]
-                            if p in x})
+                            if p in mu})
         for v in evaluated:
-            mu[v] = evaluate(g, v, values)
-        changed = moved.union(evaluated)
-        for v in changed:
-            eps[v] = x[v] - mu[v]
+            mu[v][...] = evaluate(g, v, values)
+        np.subtract(X, MU, out=EPS)
+        changed = set(moved).union(evaluated)
+        for live, region, fresh in zip((x, mu, eps), shown,
+                                       (moved, evaluated, changed)):
+            for v in fresh:
+                region[v] = live[v].copy()
     return per_leaf, tuple(snapshots)
 
 

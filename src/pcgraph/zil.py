@@ -37,10 +37,9 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .autodiff import arriving, pull_onto
 from .errors import GraphError
 from .graph import Graph, VertexId, level_structure, min_distances
-from .numerics import Array, as_f64, fsum_arrays
+from .numerics import Array
 from .pc import ZilSchedule, ZilTrace, run_schedule
 from .report import UpdateReport
 
@@ -143,25 +142,3 @@ def check_quiet_window(trace: ZilTrace, g: Graph) -> tuple[bool, list[tuple]]:
                 violations.append((vid, t, "x",
                                    float(np.max(np.abs(snap.x[vid] - first.x[vid])))))
     return not violations, violations
-
-
-def check_wavefront_recursion(trace: ZilTrace, g: Graph) -> bool:
-    """Verify the one-step error recursion at each vertex's settling time.
-
-    At t = level(j) the error of vertex j must equal gamma times the
-    pulled-back errors of its parents read one step earlier, because
-    that is the only step at which the wavefront crosses the edge.
-    Checked against a from-scratch recomputation out of the trace, to
-    an absolute 1e-9.
-    """
-    structure = level_structure(g)
-    gamma = trace.schedule.gamma
-    for t in range(1, len(trace.snapshots)):
-        prev, now = trace.snapshots[t - 1], trace.snapshots[t]
-        settling = [j for j in structure.members(t) if not g.vertices[j].is_leaf]
-        pulls = pull_onto(g, settling, {**prev.params, **prev.x}, prev.eps)
-        for jid in settling:
-            expected = gamma * fsum_arrays(arriving(g, jid, pulls))
-            if not np.allclose(as_f64(now.eps[jid]), expected, atol=1e-9, rtol=0.0):
-                return False
-    return True

@@ -18,10 +18,12 @@ from pcgraph import harness
 from pcgraph.autodiff import backprop, forward, grad_check
 from pcgraph.leveller import audit_paths, level
 from pcgraph.models import ModelSpec, build_model, random_graph, untie
-from pcgraph.numerics import angle_degrees, fsum_arrays
+from pcgraph.numerics import fsum_arrays
 from pcgraph.pc import il_train_step
 from pcgraph.report import divergence
 from pcgraph.zil import check_quiet_window, zil_train_step
+
+from oracles import angle_degrees
 
 SEEDS = tuple(range(20))
 LR = 0.01

@@ -280,3 +280,39 @@ def test_shape_checking():
     z1, z2 = b.leaf(), b.leaf()
     with pytest.raises(ArityMismatch):
         b.build(b.vertex(fns.square(), [z1, z2]))
+
+
+def _alias_cases():
+    """(fn, input shapes, output shape) for every kind and activation."""
+    elementwise = [fns.square(), fns.sqrt(), fns.identity(),
+                   *(fns.activation(name) for name in fns.ACTIVATION_NAMES),
+                   fns.add(), fns.add(3), fns.multiply(), fns.multiply(3)]
+    cases = [(fns.constant(2.0), [], ()),
+             (fns.matvec(), [(2, 3), (3,)], (2,)),
+             (fns.convolve1d(), [(2,), (4,)], (3,)),
+             (fns.sum_reduce(), [(4,)], ())]
+    for shape in ((), (3,)):
+        cases += [(fn, [shape] * fn.arity, shape) for fn in elementwise]
+    assert {fn.kind for fn, _ins, _out in cases} == set(fns.FnKind)
+    return [pytest.param(fn, ins, out, id=f"{fn.kind.value}-"
+                         f"{fn.name or fn.arity}-{'x'.join(map(str, out)) or 'scalar'}")
+            for fn, ins, out in cases]
+
+
+@pytest.mark.parametrize("fn, shapes, out_shape", _alias_cases())
+def test_kind_rules_return_arrays_that_share_no_memory(fn, shapes, out_shape):
+    """The step engine hands the rules views of buffers it later writes
+    in place, and keeps what they return."""
+    sizes = [math.prod(s) for s in (*shapes, out_shape)]
+    buffer = np.linspace(0.5, 2.0, sum(sizes))
+    ends = np.cumsum(sizes)
+    views = [buffer[end - size:end].reshape(shape) for end, size, shape
+             in zip(ends, sizes, (*shapes, out_shape))]
+    *ins, upstream = views
+    results = [fn(ins), *fn.vjp(ins, upstream)]
+    for slot in range(fn.arity):
+        results += fn.vjp(ins, upstream, [slot])
+    for result in results:
+        if result is not None:
+            for view in views:
+                assert not np.shares_memory(result, view)

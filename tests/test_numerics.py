@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from pcgraph import numerics
 from pcgraph.errors import GraphError, NonFiniteSum
 from pcgraph.numerics import (
-    angle_degrees,
     as_f64,
     exact_sum,
     fsum_arrays,
@@ -21,6 +20,8 @@ from pcgraph.numerics import (
     l2_norm,
     sum_of_squares,
 )
+
+from oracles import angle_degrees
 
 
 def test_fsum_arrays_componentwise():

@@ -18,11 +18,12 @@ from pcgraph.zil import (
     ZilSchedule,
     ZilTrace,
     check_quiet_window,
-    check_wavefront_recursion,
     make_schedule,
     zil_ablate,
     zil_train_step,
 )
+
+from oracles import check_wavefront_recursion
 
 
 def two_level_chain():

@@ -114,6 +114,29 @@ class ElemFn:
 
 # -- per-kind rows -------------------------------------------------------
 
+class Batch(NamedTuple):
+    """A kind's rules on the values of k vertices at once.
+
+    Each input, the upstream and each result hold the k vertices'
+    values one after another: concatenated flat when the rules act
+    component by component (``stack`` is False), so the vertices may
+    differ in shape; else stacked, shape (k, *value shape), from values
+    of one shape per input.  ``forward(fn, ins)`` and
+    ``vjp(fn, ins, upstream, want)`` give, wherever they are finite,
+    the bytes of the kind's own rule on each vertex (a non-finite value
+    may carry other NaN bits: between two NaNs, a long ``np.add`` keeps
+    another one than a one-component call).  ``scalars`` says whether
+    that also holds where the values are 0-d.  A ``DomainError`` names
+    some vertex's offending value, not necessarily the first one's.
+    """
+
+    stack: bool
+    forward: Callable[[ElemFn, tuple[Array, ...]], Array]
+    vjp: Callable[[ElemFn, tuple[Array, ...], Array, Collection[int]],
+                  tuple[Array | None, ...]]
+    scalars: bool = True
+
+
 class KindRule(NamedTuple):
     """What one kind computes.
 
@@ -125,6 +148,8 @@ class KindRule(NamedTuple):
     others, and a one-input kind computes its one pull regardless.
     ``check(fn, ins)`` rejects input shapes the kind cannot take; it
     runs in :meth:`ElemFn.check` only, never per evaluation or pull.
+    ``batch`` is the same math on many vertices in one call
+    (:class:`Batch`), or None for a kind that runs per vertex only.
 
     Neither ``forward`` nor ``vjp`` returns an array that shares memory
     with an input or with ``upstream`` (so ``identity`` and ``add``
@@ -137,6 +162,15 @@ class KindRule(NamedTuple):
     vjp: Callable[[ElemFn, tuple[Array, ...], Array, Collection[int]],
                   tuple[Array | None, ...]]
     check: Callable[[ElemFn, tuple[Array, ...]], None] | None = None
+    batch: Batch | None = None
+
+
+def _componentwise(arity, forward, vjp, check=None,
+                   scalars=True) -> KindRule:
+    """A kind whose rules act component by component, so they run
+    unchanged on many vertices' values concatenated."""
+    return KindRule(arity, forward, vjp, check,
+                    Batch(False, forward, vjp, scalars))
 
 
 def _sqrt(fn, ins):
@@ -200,32 +234,45 @@ _activation_derivs = {
 KINDS: dict[FnKind, KindRule] = {
     FnKind.CONSTANT: KindRule(
         0, lambda fn, ins: as_f64(fn.value), lambda fn, ins, u, want: ()),
-    FnKind.ADD: KindRule(
+    FnKind.ADD: _componentwise(
         None, lambda fn, ins: reduce(np.add, ins),
         lambda fn, ins, u, want: tuple([u.copy() if s in want else None
                                         for s in range(len(ins))]),
         _same_shapes),
-    FnKind.MULTIPLY: KindRule(
+    FnKind.MULTIPLY: _componentwise(
         None, lambda fn, ins: reduce(np.multiply, ins),
         # each slot's pull is upstream times every other input
         lambda fn, ins, u, want: tuple([
             reduce(np.multiply, ins[:s] + ins[s + 1:], u) if s in want else None
             for s in range(len(ins))]),
         _same_shapes),
-    # ins = (weights, vector)
+    # ins = (weights, vector).  Stacked, one np.matmul runs the k
+    # products; it gives each one's bytes, where a single gemm of the
+    # vectors against the weights need not.
     FnKind.MATVEC: KindRule(
         2, lambda fn, ins: ins[0] @ ins[1],
         lambda fn, ins, u, want: (np.outer(u, ins[1]) if 0 in want else None,
                                   ins[0].T @ u if 1 in want else None),
-        _matvec_shapes),
-    FnKind.SQUARE: KindRule(
+        _matvec_shapes,
+        Batch(True,
+              lambda fn, ins: np.matmul(ins[0], ins[1][..., None])[..., 0],
+              lambda fn, ins, u, want: (
+                  np.multiply(u[..., :, None], ins[1][..., None, :])
+                  if 0 in want else None,
+                  np.matmul(np.swapaxes(ins[0], -1, -2), u[..., None])[..., 0]
+                  if 1 in want else None))),
+    FnKind.SQUARE: _componentwise(
         1, lambda fn, ins: ins[0] * ins[0],
         lambda fn, ins, u, want: (np.multiply(2.0 * ins[0], u),)),
-    FnKind.SQRT: KindRule(1, _sqrt, _sqrt_vjp),
-    FnKind.ACTIVATION: KindRule(
+    FnKind.SQRT: _componentwise(1, _sqrt, _sqrt_vjp),
+    # On a 0-d value tanh's derivative squares a NumPy scalar, which
+    # takes libm's pow; its last bit differs from an array's square in
+    # about one value in 1400, so 0-d activations run per vertex.
+    FnKind.ACTIVATION: _componentwise(
         1, lambda fn, ins: _activations[fn.name](ins[0]),
         lambda fn, ins, u, want: (
-            np.multiply(_activation_derivs[fn.name](ins[0]), u),)),
+            np.multiply(_activation_derivs[fn.name](ins[0]), u),),
+        scalars=False),
     # ins = (kernel, signal)
     FnKind.CONVOLVE1D: KindRule(
         2, lambda fn, ins: np.correlate(ins[1], ins[0], mode="valid"),
@@ -233,7 +280,7 @@ KINDS: dict[FnKind, KindRule] = {
             np.correlate(ins[1], u, mode="valid") if 0 in want else None,
             np.convolve(u, ins[0], mode="full") if 1 in want else None),
         _convolve1d_shapes),
-    FnKind.IDENTITY: KindRule(
+    FnKind.IDENTITY: _componentwise(
         1, lambda fn, ins: ins[0].copy(), lambda fn, ins, u, want: (u.copy(),)),
     FnKind.SUM_REDUCE: KindRule(
         1, lambda fn, ins: as_f64(ieee_sum(ins[0])),

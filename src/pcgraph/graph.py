@@ -84,15 +84,19 @@ class StepStructure:
     ``single`` holds the internal vertices with one arriving term (one
     (parent, slot) entry in ``parents``), ``several`` those with more,
     both ascending; the output, with none, is in neither.  Per vertex
-    p, ``feeds[p]`` holds the (slot, child) pairs of p's internal slots
-    whose child is in ``single``, and ``several_children[p]`` p's
-    distinct children in ``several``.
+    p, ``several_children[p]`` holds p's distinct children in
+    ``several``.  ``groups`` holds the classes of internal vertices
+    that apply one rule: the same function, of a kind with a batch form
+    (:class:`functions.Batch`), and the same pattern of internal and
+    leaf children, at least one of them internal.  Only classes of
+    :data:`GROUP_MIN` or more members are kept; the step engine splits
+    them further by value shape.
     """
 
     single: tuple[VertexId, ...]
     several: tuple[VertexId, ...]
-    feeds: tuple[tuple[tuple[int, VertexId], ...], ...]
     several_children: tuple[tuple[VertexId, ...], ...]
+    groups: tuple[frozenset[VertexId], ...]
 
 
 class Graph:
@@ -333,21 +337,33 @@ def level_structure(g: Graph) -> LevelStructure:
     return g._levels
 
 
+# Fewest vertices that the step engine runs as one group.  A group call
+# costs about what three vertex calls cost (measured on levelled rnn and
+# the zoo-desk models), so a group of fewer than four can save nothing.
+GROUP_MIN = 4
+
+
 def step_structure(g: Graph) -> StepStructure:
-    """Who feeds whom in a relaxation step; computed once per graph."""
+    """Who feeds whom in a relaxation step, and which vertices apply one
+    rule; computed once per graph."""
     if g._steps is None:
         single = tuple(v for v in g.internal_ids if len(g.parents[v]) == 1)
         several = tuple(v for v in g.internal_ids if len(g.parents[v]) > 1)
-        ones, many = set(single), set(several)
+        many = set(several)
         slots = g.internal_slots
+        classes: dict[tuple, list[VertexId]] = {}
+        for vid in g.internal_ids:
+            v = g.vertices[vid]
+            if slots[vid] and fns.KINDS[v.fn.kind].batch is not None:
+                pattern = tuple(g.vertices[c].is_leaf for c in v.children)
+                classes.setdefault((v.fn, pattern), []).append(vid)
         g._steps = StepStructure(
             single=single, several=several,
-            feeds=tuple(tuple((s, v.children[s]) for s in slots[v.id]
-                              if v.children[s] in ones)
-                        for v in g.vertices),
             several_children=tuple(
                 tuple({v.children[s] for s in slots[v.id]} & many)
-                for v in g.vertices))
+                for v in g.vertices),
+            groups=tuple(frozenset(members) for members in classes.values()
+                         if len(members) >= GROUP_MIN))
     return g._steps
 
 

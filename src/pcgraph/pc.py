@@ -19,13 +19,19 @@ reverse sweep, :func:`_wavefront`, that gives the same bytes.
 
 The step engine holds the x, mu and eps of every internal vertex in
 place, in flat float64 buffers, and relaxes them all at once, a few
-whole-buffer NumPy calls a step; predictions and pulls are recomputed
-per vertex where a value moved.  What it returns holds no view of a
-buffer: a traced run's snapshots copy out only what was recomputed
-since the snapshot before.  A step that is not finite runs
-:func:`relax` per vertex instead, where each 0-d value node is passed
-as the NumPy scalar or 0-d array the rule would hold, because between
-two NaN operands a scalar ``+`` keeps another NaN than an array does.
+whole-buffer NumPy calls a step.  Predictions and pulls are recomputed
+only where a value moved: in one batch call per group of vertices that
+apply one rule (:class:`functions.Batch`), on rows gathered from the
+buffers, where enough of a group is due; else per vertex.  A batch
+writes only members still in the run's region, and its result is kept
+only where it is finite and raised nothing; else the vertices run one
+by one, so bytes, NaN bits and exceptions stay the per-vertex rule's.
+What the engine returns holds no view of a buffer: a traced run's
+snapshots copy out only what was recomputed since the snapshot before.
+A step that is not finite runs :func:`relax` per vertex instead, where
+each 0-d value node is passed as the NumPy scalar or 0-d array the
+rule would hold, because between two NaN operands a scalar ``+`` keeps
+another NaN than an array does.
 
 Conventions pinned here and relied on everywhere else:
 
@@ -50,11 +56,23 @@ import numpy as np
 
 from .autodiff import (arriving, evaluate, forward, pull_back, pull_onto,
                        reverse_sweep)
-from .errors import GraphError, NonFiniteSum, NotLevelled
-from .graph import Graph, VertexId, level_structure, step_structure
+from .errors import DomainError, GraphError, NonFiniteSum, NotLevelled
+from .functions import KINDS
+from .graph import GROUP_MIN, Graph, VertexId, level_structure, step_structure
 from .numerics import (Array, all_finite, as_f64, fsum_arrays, is_integer,
                        sum_of_squares)
 from .report import UpdateReport, make_report
+
+
+# When the step engine runs a group in one call (measured on levelled
+# rnn(T,4,8) for T = 4..13 and on the zoo-desk models, in process): a
+# group call costs about three vertex calls, so it runs only where three
+# or more members are due; laying a group out in a run costs about ten
+# to fifteen, which a run with fewer than 16 steps left does not repay,
+# so such a run lays out no group (traced Z-IL and the ablations on
+# small graphs take 3-11 steps).
+_MIN_DUE = 3
+_LAYOUT_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -201,6 +219,110 @@ def extract_updates(state: PCState, g: Graph, lr: float,
     return {vid: lr * fsum_arrays(arriving(g, vid, pulls)) for vid in only}
 
 
+class _Group:
+    """Members of one group of :func:`step_structure` that share their
+    value shapes in a run, and where their values live in the buffers.
+
+    Members are ordered by the step at which they leave the region, the
+    last to leave first, so ``members[:live]`` is the region's part.
+    Per slot, ``ins`` holds whether the input is an internal vertex's
+    and either the index of each member's input in X or its leaf's
+    value; ``out`` holds the index of each member in MU and EPS, and
+    ``onto[s]`` that of its pull onto slot s in PULL.  Each is laid out
+    as the batch takes it (flat or stacked), so its first ``cut[j]``
+    rows belong to the first j members.
+    """
+
+    def __init__(self, g: Graph, members: list[VertexId], live: int,
+                 state: PCState, span: dict[VertexId, slice],
+                 several: dict[tuple[VertexId, int], slice],
+                 positions: Array):
+        first = g.vertices[members[0]]
+        self.fn, self.batch = first.fn, KINDS[first.fn.kind].batch
+        self.slots = g.internal_slots[members[0]]
+        self.members, self.live = members, live
+        stack = self.batch.stack
+
+        def laid(parts: list[slice], shape: tuple[int, ...]) -> Array:
+            flat = np.concatenate([positions[p] for p in parts])
+            return flat.reshape(len(members), *shape) if stack else flat
+
+        kids = [g.vertices[m].children for m in members]
+        self.ins: list[tuple[bool, Array]] = []
+        for s, c in enumerate(first.children):
+            if g.vertices[c].is_leaf:
+                leaf = [state.params[k[s]] for k in kids]
+                self.ins.append((False, np.stack(leaf) if stack else
+                                 np.concatenate([np.ravel(v) for v in leaf])))
+            else:
+                self.ins.append((True, laid([span[k[s]] for k in kids],
+                                            state.x[c].shape)))
+        self.out = laid([span[m] for m in members], state.x[members[0]].shape)
+        self.onto = {s: laid([several.get((m, s), span[k[s]])
+                              for m, k in zip(members, kids)],
+                             state.x[first.children[s]].shape)
+                     for s in self.slots}
+        self.cut = list(range(len(members) + 1)) if stack else \
+            [0, *accumulate(state.x[m].size for m in members)]
+
+    def _inputs(self, X: Array, c: int) -> list[Array]:
+        return [X[at[:c]] if internal else at[:c]
+                for internal, at in self.ins]
+
+    def predict(self, X: Array, MU: Array) -> bool:
+        """Write the region members' predictions; False, writing none,
+        where one is not finite."""
+        c = self.cut[self.live]
+        mu = self.batch.forward(self.fn, self._inputs(X, c))
+        if not all_finite(mu):
+            return False
+        MU[self.out[:c]] = mu
+        return True
+
+    def pull(self, X: Array, EPS: Array, PULL: Array) -> bool:
+        """Write the region members' pulls onto their internal slots;
+        False, writing none, where one is not finite."""
+        c = self.cut[self.live]
+        back = self.batch.vjp(self.fn, self._inputs(X, c), EPS[self.out[:c]],
+                              self.slots)
+        if not all(all_finite(back[s]) for s in self.slots):
+            return False
+        for s in self.slots:
+            PULL[self.onto[s][:c]] = back[s]
+        return True
+
+
+def _split(g: Graph, members: frozenset[VertexId], state: PCState,
+           region: Mapping[VertexId, Array], span: dict[VertexId, slice],
+           several: dict[tuple[VertexId, int], slice],
+           cone: tuple[tuple[VertexId, ...], ...] | None,
+           positions: Array) -> list[_Group]:
+    """One group of :func:`step_structure` as the run's groups: split by
+    value shape (a stacked batch needs one shape per input; 0-d values
+    only where the batch holds for them), parts of :data:`GROUP_MIN`
+    or more members kept, members ordered by the step at which ``cone``
+    takes them out of the ``region``, last first."""
+    batch = KINDS[g.vertices[min(members)].fn.kind].batch
+    parts: dict[tuple, list[VertexId]] = {}
+    for m in sorted(members):
+        if not batch.scalars and state.x[m].ndim == 0:
+            continue
+        key = tuple(np.shape(state.params[c]) if c in state.params
+                    else state.x[c].shape
+                    for c in g.vertices[m].children) if batch.stack else ()
+        parts.setdefault(key, []).append(m)
+    gone = {} if cone is None else {v: t for t, vs in enumerate(cone)
+                                     for v in vs if v in members}
+    out = []
+    for part in parts.values():
+        if len(part) >= GROUP_MIN:
+            part.sort(key=lambda m: -gone.get(m, math.inf))
+            live = sum(m in region for m in part)
+            out.append(_Group(g, part, live, state, span, several,
+                              positions))
+    return out
+
+
 def relax_schedule(g: Graph, state: PCState, lr: float,
                    schedule: ZilSchedule,
                    cone: tuple[tuple[VertexId, ...], ...] | None,
@@ -212,26 +334,42 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     applies the rule of :func:`inference_step` (its pulls,
     :func:`relax`, then mu and eps from the new values); the last step
     only reads.  Step 0 pulls every vertex back, as backprop does, even
-    in a one-step run, so it raises where backprop raises.
+    in a one-step run, so it raises where backprop raises; a later step
+    pulls only vertices with an internal child, because nothing reads
+    a pull onto a leaf.
 
     The x, mu and eps of every internal vertex live in three flat
     float64 buffers, in the order of :func:`step_structure` (one-term
     vertices, then several-term ones, then the output), and a fourth
-    holds the one arriving pull of each one-term vertex; the per-vertex
-    values are reshaped views of them.  A step is a few whole-buffer
-    operations: ``(pull - eps) + 0.0``, ``x + gamma * step``, the
-    output and the vertices outside the region held at their x, a byte
-    compare of old and new x per vertex (so a -0.0 that becomes 0.0 is
-    a move), and eps = x - mu.  The rule is a pure function, so only
-    what a move reaches is recomputed per vertex: a prediction when a
-    child's value moved, a pull when its vertex's eps may have changed,
-    and the exact sum of a several-term vertex when its eps or a
-    parent's pull may have.  Where a step is not finite, :func:`relax`
-    runs per vertex in ascending id, so it raises where and as the
-    rule does.  There a 0-d x that started as a NumPy scalar, or has
-    moved (the rule returns one), is passed as a scalar, because
-    between two NaN operands a scalar ``+`` keeps another NaN than an
-    array one does.
+    holds the pulls: the one arriving at each one-term vertex, where
+    its x sits, then one per edge into a several-term vertex.  The
+    per-vertex values are reshaped views of them.  A step is a few
+    whole-buffer operations: ``(pull - eps) + 0.0``, ``x + gamma *
+    step``, the output and the vertices outside the region held at
+    their x, a byte compare of old and new x per vertex (so a -0.0 that
+    becomes 0.0 is a move), and eps = x - mu.  The rule is a pure
+    function, so only what a move reaches is recomputed: a prediction
+    when a child's value moved, a pull when its vertex's eps may have
+    changed, and the exact sum of a several-term vertex when its eps or
+    a parent's pull may have.  Where a step is not finite,
+    :func:`relax` runs per vertex in ascending id, so it raises where
+    and as the rule does.  There a 0-d x that started as a NumPy
+    scalar, or has moved (the rule returns one), is passed as a scalar,
+    because between two NaN operands a scalar ``+`` keeps another NaN
+    than an array one does.
+
+    After step 0, predictions and pulls run per group where that pays:
+    where three or more members of a group (:func:`_split`) are due,
+    one batch call (:class:`functions.Batch`) on rows gathered from the
+    buffers computes and writes every member still in the region.  A
+    member that was not due gets the bytes it holds, because the rule
+    is pure; one that has left the region keeps what it last held, as
+    it does when vertices run one by one, so the buffers hold the same
+    bytes either way.  Where a batch result is not finite, the due
+    members run per vertex; where a batch call raises a
+    ``DomainError``, the whole phase reruns per vertex in ascending id,
+    so the same vertex raises with the same message.  A group is laid
+    out on its first call, and only while 16 or more steps remain.
 
     With ``cone`` given, the vertices in ``cone[t]`` leave the region
     after step t's pulls; the caller vouches that no later step reads
@@ -249,7 +387,16 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     X, MU, EPS = (np.concatenate([part[v] for v in order], axis=None)
                   for part in (state.x, state.mu, state.eps))
     n_single, n_relaxed = sum(sizes[:len(plan.single)]), span[g.output].start
-    IN, STEP, NEW = np.zeros(n_single), np.zeros(n_relaxed), np.empty(n_relaxed)
+    # Where each pull lands: onto a one-term vertex where its x sits,
+    # onto a several-term vertex at its own place per edge after those.
+    several: dict[tuple[VertexId, int], slice] = {}
+    end = n_single
+    for v in plan.several:
+        for edge in g.parents[v]:
+            several[edge] = slice(end, end + state.x[v].size)
+            end += state.x[v].size
+    PULL = np.zeros(end)
+    IN, STEP, NEW = PULL[:n_single], np.zeros(n_relaxed), np.empty(n_relaxed)
     XR = X[:n_relaxed]  # the output is never relaxed
     in_step, in_eps = STEP[:n_single], EPS[:n_single]
     old_bits, new_bits = XR.view(np.int64), NEW.view(np.int64)
@@ -262,18 +409,49 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     mu = {v: view(MU, v) for v in state.x}
     eps = {v: view(EPS, v) for v in state.x}
     values = {**state.params, **x}  # what every vertex presents
-    arrived = {v: view(IN, v) for v in plan.single}
+    into = {g.parents[v][0]: view(PULL, v) for v in plan.single}  # by edge
+    for (p, s), where in several.items():
+        into[p, s] = PULL[where].reshape(
+            state.x[g.vertices[p].children[s]].shape)
+    slots = g.internal_slots
     sums = {v: view(STEP, v) for v in plan.several}
     relaxed = [v for v, size in zip(order[:-1], sizes) if size]
     heads = np.array([span[v].start for v in relaxed], dtype=np.intp)
     relaxed = np.array(relaxed, dtype=np.intp)
     frozen = np.zeros(n_relaxed, dtype=bool)  # left the region
+    grouped = frozenset().union(*plan.groups)
+    lays = bool(grouped) and schedule.steps > _LAYOUT_STEPS  # may batch
+    made: dict[frozenset[VertexId], list[_Group]] = {}  # on first use
     # The 0-d values the rule would hold as NumPy scalars: those that
     # start as one and those that moved (relax returns a scalar).
     scalars = {v for v, val in state.x.items() if isinstance(val, np.generic)}
     shown = (dict(state.x), dict(state.mu), dict(state.eps)) \
         if record_trace else ()
-    pulls: dict[VertexId, tuple[Array | None, ...]] = {}
+
+    def batched(due: list[VertexId], call) -> list[VertexId]:
+        """``call`` each group with enough ``due`` members; the due
+        vertices left to run per vertex, ascending."""
+        if len(grouped.intersection(due)) < _MIN_DUE:
+            return due
+        done: set[VertexId] = set()
+        try:
+            for members in plan.groups:
+                if len(members.intersection(due)) < _MIN_DUE:
+                    continue
+                if members not in made:
+                    if schedule.steps - t < _LAYOUT_STEPS:
+                        continue
+                    made[members] = _split(g, members, state, x, span,
+                                           several, cone,
+                                           np.arange(max(X.size, PULL.size)))
+                for grp in made[members]:
+                    hit = set(grp.members[:grp.live]).intersection(due)
+                    if len(hit) >= _MIN_DUE and call(grp):
+                        done |= hit
+        except DomainError:
+            return due
+        return [v for v in due if v not in done] if done else due
+
     changed = set(x)  # vertices whose eps was recomputed; step 0: all
     per_leaf: dict[VertexId, Array] = {}
     snapshots: list[PCState] = []
@@ -290,12 +468,17 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
         last = t == schedule.steps - 1
         if last and t > 0:
             break
-        pulled = sorted(p for p in changed if g.vertices[p].children)
-        for p in pulled:
-            pulls[p] = pull = pull_back(g, p, values, eps[p],
-                                        g.internal_slots[p])
-            for slot, c in plan.feeds[p]:
-                arrived[c][...] = pull[slot]
+        if t == 0:  # every vertex, one by one: a layout pays only later
+            pulled = todo = sorted(p for p in changed
+                                   if g.vertices[p].children)
+        else:
+            pulled = sorted(p for p in changed if slots[p])
+            todo = batched(pulled, lambda grp: grp.pull(X, EPS, PULL)) \
+                if lays else pulled
+        for p in todo:
+            back = pull_back(g, p, values, eps[p], slots[p])
+            for s in slots[p]:
+                into[p, s][...] = back[s]
         if last:  # a one-step run pulls only for backprop's domain checks
             break
         if cone is not None:
@@ -304,6 +487,10 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
                     region.pop(v, None)
                 if v in span and v != g.output:
                     frozen[span[v]] = True
+            for grps in made.values():
+                for grp in grps:
+                    while grp.live and grp.members[grp.live - 1] not in x:
+                        grp.live -= 1
         np.subtract(IN, in_eps, out=in_step)
         np.add(in_step, 0.0, out=in_step)
         try:
@@ -311,8 +498,8 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
                 stale = changed.intersection(plan.several).union(
                     *(plan.several_children[p] for p in pulled))
                 for v in sorted(stale.intersection(x)):
-                    sums[v][...] = fsum_arrays([-eps[v],
-                                                *arriving(g, v, pulls)])
+                    sums[v][...] = fsum_arrays(
+                        [-eps[v], *(into[edge] for edge in g.parents[v])])
         except NonFiniteSum:
             finite = False
         else:
@@ -323,11 +510,11 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
         else:
             np.copyto(NEW, XR)
             stale = changed.union(*({g.vertices[p].children[s]
-                                     for s in g.internal_slots[p]}
-                                    for p in pulled))
+                                     for s in slots[p]} for p in pulled))
             for v in sorted(stale.intersection(x).difference([g.output])):
                 view(NEW, v)[...] = relax(x[v][()] if v in scalars else x[v],
-                                          eps[v], arriving(g, v, pulls),
+                                          eps[v], [into[edge] for edge
+                                                   in g.parents[v]],
                                           schedule.gamma)
         if cone is not None:
             np.copyto(NEW, XR, where=frozen)
@@ -339,7 +526,8 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
         scalars.update(moved)
         evaluated = sorted({p for v in moved for p, _slot in g.parents[v]
                             if p in mu})
-        for v in evaluated:
+        for v in batched(evaluated, lambda grp: grp.predict(X, MU)) \
+                if lays else evaluated:
             mu[v][...] = evaluate(g, v, values)
         np.subtract(X, MU, out=EPS)
         changed = set(moved).union(evaluated)

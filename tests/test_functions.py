@@ -316,3 +316,101 @@ def test_kind_rules_return_arrays_that_share_no_memory(fn, shapes, out_shape):
         if result is not None:
             for view in views:
                 assert not np.shares_memory(result, view)
+
+
+# -- batch rules ----------------------------------------------------------
+
+def _value(rng, fn, shape):
+    """A value on ``fn``'s domain, with magnitudes from 1e-3 to 1e3 and
+    an odd signed zero."""
+    size = math.prod(shape)
+    mag = rng.uniform(0.5, 2.0, size) * 10.0 ** rng.uniform(-3, 3, size)
+    if fn.kind is not fns.FnKind.SQRT:
+        mag *= rng.choice([-1.0, 1.0], size)
+        mag[rng.random(size) < 0.1] = rng.choice([0.0, -0.0])
+    return mag.reshape(shape)
+
+
+def _flat(values):
+    return np.concatenate([np.ravel(v) for v in values])
+
+
+def _componentwise():
+    return [fns.add(), fns.add(3), fns.multiply(), fns.multiply(3),
+            fns.square(), fns.sqrt(), fns.identity(),
+            *(fns.activation(name) for name in fns.ACTIVATION_NAMES)]
+
+
+def test_the_kinds_that_batch():
+    batched = {kind for kind, rule in fns.KINDS.items() if rule.batch}
+    assert batched == {fn.kind for fn in _componentwise()} | {
+        fns.FnKind.MATVEC}
+    assert fns.KINDS[fns.FnKind.MATVEC].batch.stack
+    assert not any(fns.KINDS[fn.kind].batch.stack for fn in _componentwise())
+
+
+@pytest.mark.parametrize(
+    "fn", _componentwise(),
+    ids=lambda fn: f"{fn.kind.value}-{fn.name or fn.arity}")
+def test_a_componentwise_batch_gives_the_bytes_of_its_rows(fn):
+    """Rows of several shapes, concatenated: the batch rules give each
+    row's bytes, for the forward value and every pull, and 0-d rows
+    too where the batch says it holds for them."""
+    batch = fns.KINDS[fn.kind].batch
+    rng = np.random.default_rng(0)
+    shapes = [(3,), (1,), (5,), (2,), *([()] * 3 if batch.scalars else [])]
+    for _trial in range(30):
+        rows = [[_value(rng, fn, shape) for _ in range(fn.arity)]
+                for shape in shapes]
+        ups = [_value(rng, fns.add(), shape) for shape in shapes]
+        ins = tuple(_flat([row[s] for row in rows]) for s in range(fn.arity))
+        assert batch.forward(fn, ins).tobytes() == \
+            _flat([fn(row) for row in rows]).tobytes()
+        for want in (range(fn.arity), [0], [fn.arity - 1]):
+            back = batch.vjp(fn, ins, _flat(ups), want)
+            per_row = [fn.vjp(row, up, want) for row, up in zip(rows, ups)]
+            for s in range(fn.arity):
+                if back[s] is None:
+                    assert all(pull[s] is None for pull in per_row)
+                else:
+                    assert back[s].tobytes() == \
+                        _flat([pull[s] for pull in per_row]).tobytes()
+
+
+def test_activations_batch_only_vectors_because_of_tanh_on_scalars():
+    """On a 0-d value tanh's derivative squares a NumPy scalar, which
+    takes libm's pow; an array squares.  The last bits differ now and
+    then, so a batch of 0-d activations would change bytes."""
+    assert not fns.KINDS[fns.FnKind.ACTIVATION].batch.scalars
+    tanh = fns.activation("tanh")
+    x = np.random.default_rng(0).normal(size=20_000) * 3.0
+    one = np.ones_like(x)
+    per_value = [tanh.vjp([np.asarray(v)], np.asarray(1.0))[0] for v in x]
+    batch = fns.KINDS[fns.FnKind.ACTIVATION].batch.vjp(tanh, (x,), one, [0])
+    differ = np.count_nonzero(np.asarray(per_value) != batch[0])
+    assert 0 < differ < len(x) / 100
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["stacked", "tied"])
+def test_a_stacked_matvec_gives_the_bytes_of_each_product(tied):
+    fn, batch = fns.matvec(), fns.KINDS[fns.FnKind.MATVEC].batch
+    rng = np.random.default_rng(1)
+    for m, n in [(1, 256), (256, 1), (1, 1), (8, 8), (7, 13), (64, 256),
+                 (256, 256)]:
+        w = rng.normal(size=(5, m, n))
+        if tied:
+            w[:] = w[0]
+        x, u = rng.normal(size=(5, n)), rng.normal(size=(5, m))
+        out = batch.forward(fn, (w, x))
+        back = batch.vjp(fn, (w, x), u, [0, 1])
+        for i in range(5):
+            assert out[i].tobytes() == fn([w[i], x[i]]).tobytes()
+            for got, want in zip(back, fn.vjp([w[i], x[i]], u[i])):
+                assert got[i].tobytes() == want.tobytes()
+        assert batch.vjp(fn, (w, x), u, [1])[0] is None
+        assert batch.vjp(fn, (w, x), u, [0])[1] is None
+    # One gemm of the vectors against the tied weights rounds otherwise.
+    w = rng.normal(size=(256, 256))
+    x = rng.normal(size=(5, 256))
+    stacked = batch.forward(fn, (np.stack([w] * 5), x))
+    assert (x @ w.T).tobytes() != stacked.tobytes()

@@ -19,7 +19,8 @@ from pcgraph import functions as fns
 from pcgraph import pc
 from pcgraph.autodiff import backprop, forward
 from pcgraph.errors import DomainError, GraphError, NonFiniteSum, NotLevelled
-from pcgraph.graph import GraphBuilder, level_structure
+from pcgraph import graph as graph_module
+from pcgraph.graph import GROUP_MIN, GraphBuilder, level_structure
 from pcgraph.leveller import level
 from pcgraph.models import FAMILIES, ModelSpec, build_model, random_graph
 from pcgraph.pc import (extract_updates, il_train_step, inference_step,
@@ -482,3 +483,210 @@ def test_non_finite_runs_match_the_oracle(fallback_steps):
                 seen["nan"] += bool(np.isnan(values).any())
                 seen["inf"] += bool(np.isinf(values).any())
     assert min(seen.values()) > 0, seen
+
+
+# -- groups: vertices that share a rule run in one batch call -------------
+
+def ladder(k, seed):
+    """``k`` equal chains joined at the output, with vector vertices of
+    every kind that has a batch form, each on an internal child, so
+    that each such kind forms groups of ``k`` or ``2k``:
+
+    m = W x (leaf-only), s = m^2, r = sqrt(s + c), a = tanh(r),
+    d = identity activation(logistic(a)), i = identity(identity(a)),
+    p = d * i * b, v = V p (V tied), out = sum(v_1 + ... + v_k).
+
+    Each a has two parents, so pulls onto it land one per edge.
+    """
+    rng = np.random.default_rng(seed)
+    b = GraphBuilder()
+    params = {}
+
+    def leaf(shape, **kw):
+        vid = b.leaf(**kw)
+        params[vid] = rng.uniform(-0.5, 0.5, shape)
+        return vid
+
+    shared = rng.uniform(-0.5, 0.5, (2, 3))
+    tops = []
+    for _ in range(k):
+        m = b.vertex(fns.matvec(), [leaf((3, 3)), leaf(3, trainable=False)])
+        c = leaf(3)
+        params[c] += 1.0
+        r = b.vertex(fns.sqrt(), [b.vertex(fns.add(), [
+            b.vertex(fns.square(), [m]), c])])
+        a = b.vertex(fns.activation("tanh"), [r])
+        d = b.vertex(fns.activation("identity"), [
+            b.vertex(fns.activation("logistic"), [a])])
+        i = b.vertex(fns.identity(), [b.vertex(fns.identity(), [a])])
+        p = b.vertex(fns.multiply(), [b.vertex(fns.multiply(), [d, i]),
+                                      leaf(3)])
+        v = leaf((2, 3), tie_group="V")
+        params[v] = shared.copy()
+        tops.append(b.vertex(fns.matvec(), [v, p]))
+    b.tie_value("V", shared)
+    g = b.build(b.vertex(fns.sum_reduce(), [b.vertex(fns.add(k), tops)]))
+    return g, params, target(g, params)
+
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """Lets every run lay its groups out, and records the kind of every
+    batch call and whether it raised."""
+    monkeypatch.setattr(pc, "_LAYOUT_STEPS", 0)
+    calls = []
+
+    def counted(method):
+        def call(self, *args):
+            try:
+                ok = method(self, *args)
+            except DomainError as err:
+                calls.append((self.fn.kind, str(err)))
+                raise
+            calls.append((self.fn.kind, ok))
+            return ok
+        return call
+
+    for name in ("pull", "predict"):
+        monkeypatch.setattr(pc._Group, name, counted(getattr(pc._Group, name)))
+    return calls
+
+
+def assert_group_runs_match_the_oracle(g, params, y, same=same_bytes):
+    """IL at T = 1, 5 and 20, and every run of :func:`schedules`: traced,
+    against every snapshot, and untraced."""
+    runs = [(il_schedule(g, gamma, T), 0.0)
+            for T in (1, 5, 20) for gamma in (0.1, 1.0)] + schedules(g)
+    for schedule, shift in runs:
+        try:
+            expected, _snaps = relax_every_step(g, params, y, LR, schedule,
+                                                shift)
+        except GraphError as err:
+            with pytest.raises(GraphError) as got:
+                traced(g, params, y, schedule, shift)
+            assert (type(got.value), str(got.value)) == (type(err), str(err))
+            assert got.value.vertex == err.vertex
+            continue
+        assert_run_matches_oracle(g, params, y, schedule, shift, same=same)
+        report, _trace = run_schedule(g, params, y, LR, schedule, "run",
+                                      shift=shift)
+        want = make_report(g, "run", expected).updates
+        assert list(report.updates) == list(want)
+        for key, delta in want.items():
+            assert same(report.updates[key], delta), (schedule, key)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # gamma = 1 diverges
+@pytest.mark.parametrize("k", [4, 2])
+def test_group_runs_match_the_oracle(k, batch_calls, monkeypatch):
+    """At the size threshold, and at two members with the threshold
+    lowered and a group called as soon as one member is due."""
+    if k < GROUP_MIN:
+        monkeypatch.setattr(graph_module, "GROUP_MIN", k)
+        monkeypatch.setattr(pc, "GROUP_MIN", k)
+        monkeypatch.setattr(pc, "_MIN_DUE", 1)
+    for seed in range(2):
+        g, params, y = ladder(k, seed)
+        assert_group_runs_match_the_oracle(g, params, y)
+    batched = {kind for kind, ok in batch_calls if ok is True}
+    assert batched == {kind for kind, rule in fns.KINDS.items() if rule.batch}
+
+
+def same_nan_bits_too(a, b):
+    """The bytes, NaN payloads included, as :func:`same_bytes`; given as
+    its own comparator, it leaves out the check outcomes, which hold
+    NaN values that equal nothing."""
+    return same_bytes(a, b)
+
+
+def flipped_nans(batch):
+    """``batch`` with the sign of every NaN it returns flipped: a long
+    ``np.add`` or ``np.multiply`` may keep another of two NaNs than a
+    one-component call does."""
+    def flip(value):
+        if value is None:
+            return None
+        value = np.array(value)
+        return np.negative(value, where=np.isnan(value), out=value)
+
+    return batch._replace(
+        forward=lambda fn, ins: flip(batch.forward(fn, ins)),
+        vjp=lambda fn, ins, u, want: tuple(
+            flip(pull) for pull in batch.vjp(fn, ins, u, want)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_group_runs_beyond_the_float_range_match_the_oracle(batch_calls,
+                                                           monkeypatch):
+    """Huge parameters: every NaN keeps the oracle's bits, because a
+    batch result that is not finite is recomputed per vertex; here the
+    batches even return other NaN bits."""
+    for kind, rule in fns.KINDS.items():
+        if rule.batch:
+            monkeypatch.setitem(fns.KINDS, kind,
+                                rule._replace(batch=flipped_nans(rule.batch)))
+    for seed in range(2):
+        g, params, y = ladder(GROUP_MIN, seed)
+        huge = {v: p * 1e300 for v, p in params.items()}
+        assert_group_runs_match_the_oracle(g, huge, y, same=same_nan_bits_too)
+    assert (fns.FnKind.MATVEC, False) in batch_calls
+
+
+def roots_that_go_negative_together():
+    """out = sum over four chains of w2 * sqrt(w1 * x).  Relaxing toward
+    y = -10 drives the first two products negative in the same step,
+    the second one further; both sqrt vertices are one group's."""
+    b = GraphBuilder()
+    params, products, roots = {}, [], []
+    for x in (0.01, 0.0099, 100.0, 100.0):
+        w1, w2, leaf = b.leaf(), b.leaf(), b.leaf(trainable=False)
+        params.update({w1: np.asarray(1.0), w2: np.asarray(1.0),
+                       leaf: np.asarray(x)})
+        roots.append(b.vertex(fns.sqrt(), [b.vertex(fns.multiply(),
+                                                    [w1, leaf])]))
+        products.append(b.vertex(fns.multiply(), [w2, roots[-1]]))
+    return b.build(b.vertex(fns.add(4), products)), params, roots
+
+
+def test_a_batch_that_leaves_the_domain_raises_at_the_lowest_id(batch_calls):
+    g, params, roots = roots_that_go_negative_together()
+    for gamma in (0.1, 1.0):
+        schedule = il_schedule(g, gamma, 5)
+        with pytest.raises(DomainError) as err:
+            relax_every_step(g, params, -10.0, LR, schedule, 0.0)
+        assert err.value.vertex == roots[0]
+        with pytest.raises(DomainError) as got:
+            il_train_step(g, params, -10.0, LR, gamma, 5)
+        assert (str(got.value), got.value.vertex) == \
+            (str(err.value), err.value.vertex)
+        # The batch saw the second root's lower value, and raised first.
+        kind, message = batch_calls[-1]
+        assert kind is fns.FnKind.SQRT and message != str(err.value)
+
+
+def test_later_steps_pull_only_vertices_with_an_internal_child(monkeypatch):
+    """Nothing reads a pull onto a leaf: after step 0, which pulls every
+    vertex for backprop's domain checks, a vertex whose children are all
+    leaves is not pulled again."""
+    pulled = []
+    pull_back = pc.pull_back
+
+    def counted(g, vid, *args):
+        pulled.append(vid)
+        return pull_back(g, vid, *args)
+
+    monkeypatch.setattr(pc, "pull_back", counted)
+    for family in ("mlp", "rnn", "conv1d"):
+        g, params = build_model(ModelSpec(family, (), "tanh", 0))
+        lg, _report = level(g)
+        y = target(lg, params)
+        leaf_fed = {v for v in lg.internal_ids
+                    if lg.vertices[v].children and not lg.internal_slots[v]}
+        assert leaf_fed
+        for T in (1, 5, 20):
+            del pulled[:]
+            il_train_step(lg, params, y, LR, 0.1, T)
+            counts = {v: pulled.count(v) for v in leaf_fed}
+            assert counts == dict.fromkeys(leaf_fed, 1), (family, T)
+            assert set(pulled) == {v for v in lg.internal_ids
+                                   if lg.vertices[v].children}

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Mapping
+from itertools import accumulate
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, GraphError, ShapeMismatch
+from .functions import ElemFn
 from .graph import Graph, ParamKey, VertexId, check_params
 from .numerics import Array, as_f64, fsum_arrays
 
@@ -54,14 +56,12 @@ class BPReport:
 
 # -- vertex kernels -------------------------------------------------------
 
-def evaluate(g: Graph, vid: VertexId, values: Mapping[VertexId, Array],
-             check: bool = False) -> Array:
-    """Apply vertex ``vid``'s function to its children's ``values``,
-    validating them first (:meth:`ElemFn.check`) if ``check`` is set."""
+def evaluate(g: Graph, vid: VertexId, values: Mapping[VertexId, Array]
+             ) -> Array:
+    """Apply vertex ``vid``'s function to its children's ``values``."""
     v = g.vertices[vid]
-    ins = [values[c] for c in v.children]
     try:
-        return v.fn(v.fn.check(ins) if check else ins)
+        return v.fn([values[c] for c in v.children])
     except DomainError as err:
         raise err.at_vertex(vid) from None
 
@@ -72,8 +72,8 @@ def pull_back(g: Graph, vid: VertexId, values: Mapping[VertexId, Array],
     """Pull ``upstream`` back through vertex ``vid`` onto its child ``slots``.
 
     One entry per child slot, None where a slot is not asked for (see
-    :meth:`ElemFn.vjp`).  Every sweep calls this once per parent and
-    reads the results through :func:`arriving`.
+    :meth:`ElemFn.vjp`).  The step engine calls this once per parent
+    and reads the results through :func:`arriving`.
     """
     v = g.vertices[vid]
     try:
@@ -108,6 +108,49 @@ def arriving(g: Graph, vid: VertexId,
     return [pulls[p][slot] for p, slot in g.parents[vid]]
 
 
+class SweepPlan(NamedTuple):
+    """The straight-line walks of :func:`forward` and :func:`reverse_sweep`.
+
+    ``forward`` holds ``(vid, fn, children)`` per vertex, children before
+    parents, ``fn`` None at a leaf.  ``reverse`` holds ``(vid, fn,
+    children, slots, lands, span)`` in ``g.order`` for the output, if
+    internal, and every other vertex that gets a signal: the internal
+    ones and the trainable leaves.  The pulls arriving at a vertex sit
+    at ``span`` of one list of ``arrivals`` entries, in (parent, slot)
+    order; ``slots`` are its children's slots that hold such a vertex,
+    and ``lands`` pairs each with where its pull sits in that list.
+    """
+
+    forward: tuple[tuple[VertexId, ElemFn | None, tuple[VertexId, ...]], ...]
+    reverse: tuple[tuple, ...]
+    arrivals: int
+
+
+def sweep_plan(g: Graph) -> SweepPlan:
+    """The graph's :class:`SweepPlan`, computed once per graph."""
+    if g._sweep is None:
+        vs, out = g.vertices, g.output
+        signalled = [v for v in g.order  # a data leaf gets no signal
+                     if v != out and (not vs[v].is_leaf or vs[v].trainable)]
+        sizes = [len(g.parents[v]) for v in signalled]
+        span = {v: slice(lo, lo + n) for v, lo, n in
+                zip(signalled, accumulate(sizes, initial=0), sizes)}
+        at = {edge: span[v].start + i for v in signalled
+              for i, edge in enumerate(g.parents[v])}
+        reverse = []
+        for v in g.order:
+            if v in span or v == out and not vs[v].is_leaf:
+                lands = tuple((s, at[v, s]) for s, c
+                              in enumerate(vs[v].children) if c in span)
+                reverse.append((v, vs[v].fn, vs[v].children,
+                                tuple(s for s, _at in lands), lands,
+                                span.get(v, slice(0))))
+        g._sweep = SweepPlan(tuple((v, vs[v].fn, vs[v].children)
+                                   for v in reversed(g.order)),
+                             tuple(reverse), sum(sizes))
+    return g._sweep
+
+
 def reverse_sweep(g: Graph, values: Mapping[VertexId, Array], seed: Array,
                   settle: Callable[[VertexId, list[Array]], Array]
                   ) -> dict[VertexId, Array]:
@@ -116,22 +159,27 @@ def reverse_sweep(g: Graph, values: Mapping[VertexId, Array], seed: Array,
     A trainable leaf's signal is the sum of its arriving pulls, an
     internal vertex's is ``settle(vid, terms)``; each vertex with
     children is then pulled back once through ``values``, onto the
-    slots of ``g.sweep_slots``.  A data leaf gets no signal.  Backprop
-    and the Z-IL wavefront engine are this walk with different settle
-    rules.
+    slots of its children that get a signal.  A data leaf gets none.
+    Backprop and the Z-IL wavefront engine are this walk with different
+    settle rules.  It follows :func:`sweep_plan`: each pull lands where
+    its child reads it, and nothing is looked up by parent.
     """
+    plan = sweep_plan(g)
     signal: dict[VertexId, Array] = {g.output: seed}
-    pulls: dict[VertexId, tuple[Array | None, ...]] = {}
-    for vid in g.order:
-        v = g.vertices[vid]
-        if vid != g.output:
-            if not v.is_leaf:
-                signal[vid] = settle(vid, arriving(g, vid, pulls))
-            elif v.trainable:
-                signal[vid] = fsum_arrays(arriving(g, vid, pulls))
-        if v.children:
-            pulls[vid] = pull_back(g, vid, values, signal[vid],
-                                   g.sweep_slots[vid])
+    arrivals: list = [None] * plan.arrivals
+    for vid, fn, kids, slots, lands, span in plan.reverse:
+        if fn is None:  # a trainable leaf
+            signal[vid] = fsum_arrays(arrivals[span])
+            continue
+        up = signal[vid] = seed if vid == g.output else settle(
+            vid, arrivals[span])
+        if kids:
+            try:
+                back = fn.vjp([values[c] for c in kids], up, slots)
+            except DomainError as err:
+                raise err.at_vertex(vid) from None
+            for s, where in lands:
+                arrivals[where] = back[s]
     return signal
 
 
@@ -146,13 +194,16 @@ def forward(g: Graph, params: Mapping[VertexId, Array],
     """
     check_params(g, params)
     mu: dict[VertexId, Array] = {}
-    for vid in reversed(g.order):
-        if overrides is not None and vid in overrides:
+    for vid, fn, kids in sweep_plan(g).forward:
+        if overrides and vid in overrides:
             mu[vid] = as_f64(overrides[vid])
-        elif g.vertices[vid].is_leaf:
+        elif fn is None:
             mu[vid] = as_f64(params[vid])
         else:
-            mu[vid] = evaluate(g, vid, mu, check=True)
+            try:
+                mu[vid] = fn(fn.check([mu[c] for c in kids]))
+            except DomainError as err:
+                raise err.at_vertex(vid) from None
     return ForwardTrace(mu=mu)
 
 

@@ -106,13 +106,13 @@ class Graph:
     direct construction validates too.  Construction also computes the
     graph's plan once: ``order`` (see :func:`topological_sort`),
     ``internal_ids`` (non-leaf ids, ascending), ``internal_slots[vid]``
-    (the slots of ``vid`` whose child is internal), ``sweep_slots[vid]``
-    (those whose child is internal or a trainable leaf), the trainable
-    leaves, ``param_keys`` (see :func:`param_keys`) and
-    ``group_by_id``.  The level structure is
-    computed on first use by :func:`level_structure` and kept, whether
-    it is a partition or a :class:`NotLevelled` outcome; so is the step
-    structure, by :func:`step_structure`.
+    (the slots of ``vid`` whose child is internal), the trainable
+    leaves, ``param_keys`` (see :func:`param_keys`) and ``group_by_id``.
+    The level structure is computed on first use by
+    :func:`level_structure` and kept, whether it is a partition or a
+    :class:`NotLevelled` outcome; so are the step structure, by
+    :func:`step_structure`, and the plan of the forward and reverse
+    sweeps, by :func:`autodiff.sweep_plan`.
     """
 
     def __init__(self, vertices: Sequence[Vertex], output: VertexId,
@@ -137,11 +137,6 @@ class Graph:
             tuple(s for s, c in enumerate(v.children)
                   if not self.vertices[c].is_leaf)
             for v in self.vertices)
-        self.sweep_slots: tuple[tuple[int, ...], ...] = tuple(
-            tuple(s for s, c in enumerate(v.children)
-                  if not self.vertices[c].is_leaf
-                  or self.vertices[c].trainable)
-            for v in self.vertices)
         self._trainable_leaves: tuple[VertexId, ...] = tuple(
             v for v in self.leaves if self.vertices[v].trainable)
         self.param_keys: tuple[ParamKey, ...] = (
@@ -150,6 +145,7 @@ class Graph:
               if v not in self.group_of))
         self._levels: LevelStructure | tuple | None = None  # see level_structure
         self._steps: StepStructure | None = None  # see step_structure
+        self._sweep = None  # see autodiff.sweep_plan
 
     # -- accessors -------------------------------------------------------
 
@@ -385,10 +381,16 @@ def check_params(g: Graph, params: Mapping[VertexId, Array]) -> None:
         first = as_f64(params[grp.members[0]])
         if not all_finite(first):
             raise GraphError(f"non-finite value for tie group {grp.group_id!r}")
-        for m in grp.members[1:]:
-            if not np.array_equal(first, as_f64(params[m])):
-                raise BadTieGroup(
-                    f"tie group {grp.group_id!r} members disagree at leaf {m}")
+        clones = [as_f64(params[m]) for m in grp.members[1:]]
+        same = [c.shape == first.shape for c in clones]
+        if not all(same):  # one clone of another shape: compare one by one
+            same = [s and np.array_equal(first, c) for s, c in zip(same, clones)]
+        elif clones:  # every clone in one comparison
+            same = (np.stack(clones) == first).reshape(len(clones), -1).all(1)
+        if not np.all(same):
+            m = grp.members[1 + int(np.argmin(same))]  # the first to disagree
+            raise BadTieGroup(
+                f"tie group {grp.group_id!r} members disagree at leaf {m}")
 
 
 # -- construction --------------------------------------------------------

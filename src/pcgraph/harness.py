@@ -141,6 +141,33 @@ def _model_instances(cfg: ExperimentConfig):
             yield family, dims, label
 
 
+def _timed(thunk):
+    """``thunk()`` and the wall time it took."""
+    t0 = time.perf_counter()
+    out = thunk()
+    return out, time.perf_counter() - t0
+
+
+def _suite(cfg: ExperimentConfig, rows_of) -> tuple[list[dict], int]:
+    """One row per (variant, divergence, wall time, expected, ok) that
+    ``rows_of(family, g, params)`` yields for each model and seed; exit
+    code 1 if any row is not ok."""
+    stamp = code_version()
+    cfg_json = json.dumps(cfg.to_dict(), sort_keys=True)
+    rows: list[dict] = []
+    for family, dims, label in _model_instances(cfg):
+        for seed in cfg.seeds:
+            g, params = build_model(ModelSpec(family, dims, cfg.activation, seed))
+            for variant, div, elapsed, expected, ok in rows_of(family, g, params):
+                rows.append({
+                    "model": label, "seed": seed, "variant": variant,
+                    "divergence": div, "wall_time": elapsed,
+                    "expected": expected, "ok": ok,
+                    "code_hash": stamp, "config": cfg_json,
+                })
+    return rows, (0 if all(row["ok"] for row in rows) else 1)
+
+
 def run_equivalence_suite(cfg: ExperimentConfig) -> tuple[list[dict], int]:
     """Reverse-pass vs scheduled-update divergence over the model zoo.
 
@@ -151,49 +178,27 @@ def run_equivalence_suite(cfg: ExperimentConfig) -> tuple[list[dict], int]:
     zero tolerance, any expected-divergent row sits below the positive
     tolerance, or a wavefront (settled-error) violation is detected.
     """
-    stamp = code_version()
-    cfg_json = json.dumps(cfg.to_dict(), sort_keys=True)
-    rows: list[dict] = []
-    failed = False
-    for family, dims, label in _model_instances(cfg):
-        for seed in cfg.seeds:
-            g, params = build_model(ModelSpec(family, dims, cfg.activation, seed))
-            y = _target_for(g, params, cfg.target_offset)
-            bp = backprop(g, params, y, cfg.lr)
-            t0 = time.perf_counter()
-            zil_report, _ = zil_train_step(g, params, y, cfg.lr,
-                                           "layer_indexed", record_trace=False)
-            elapsed = time.perf_counter() - t0
-            expect_zero = family in LEVELLED_FAMILIES
-            div = divergence(bp.updates, zil_report)
-            ok = div <= cfg.tolerance_zero if expect_zero \
-                else div > cfg.tolerance_positive
-            failed |= not ok
-            rows.append({
-                "model": label, "seed": seed, "variant": "layer_indexed",
-                "divergence": div, "wall_time": elapsed,
-                "expected": "zero" if expect_zero else "positive",
-                "ok": ok, "code_hash": stamp, "config": cfg_json,
-            })
+    def rows_of(family, g, params):
+        y = _target_for(g, params, cfg.target_offset)
+        bp = backprop(g, params, y, cfg.lr)
+        (zil_report, _), elapsed = _timed(lambda: zil_train_step(
+            g, params, y, cfg.lr, "layer_indexed", record_trace=False))
+        expect_zero = family in LEVELLED_FAMILIES
+        div = divergence(bp.updates, zil_report)
+        yield ("layer_indexed", div, elapsed,
+               "zero" if expect_zero else "positive",
+               div <= cfg.tolerance_zero if expect_zero
+               else div > cfg.tolerance_positive)
 
-            lg, _report = level(g)
-            lbp = backprop(lg, params, y, cfg.lr)
-            t0 = time.perf_counter()
-            lzil_report, trace = zil_train_step(lg, params, y, cfg.lr,
-                                                "level_structured")
-            elapsed = time.perf_counter() - t0
-            settled_ok, _violations = check_quiet_window(trace, lg)
-            div = divergence(lbp.updates, lzil_report)
-            ok = div <= cfg.tolerance_zero and settled_ok
-            failed |= not ok
-            rows.append({
-                "model": label, "seed": seed,
-                "variant": "level_structured+levelled",
-                "divergence": div, "wall_time": elapsed,
-                "expected": "zero", "ok": ok,
-                "code_hash": stamp, "config": cfg_json,
-            })
-    return rows, (1 if failed else 0)
+        lg, _report = level(g)
+        lbp = backprop(lg, params, y, cfg.lr)
+        (lzil_report, trace), elapsed = _timed(lambda: zil_train_step(
+            lg, params, y, cfg.lr, "level_structured"))
+        settled_ok, _violations = check_quiet_window(trace, lg)
+        div = divergence(lbp.updates, lzil_report)
+        yield ("level_structured+levelled", div, elapsed, "zero",
+               div <= cfg.tolerance_zero and settled_ok)
+    return _suite(cfg, rows_of)
 
 
 def run_ablation_suite(cfg: ExperimentConfig) -> tuple[list[dict], int]:
@@ -202,32 +207,19 @@ def run_ablation_suite(cfg: ExperimentConfig) -> tuple[list[dict], int]:
     All models are levelled first so the level-structured baseline is
     exact and any divergence is attributable to the ablation alone.
     """
-    stamp = code_version()
-    cfg_json = json.dumps(cfg.to_dict(), sort_keys=True)
-    rows: list[dict] = []
-    failed = False
-    for family, dims, label in _model_instances(cfg):
-        for seed in cfg.seeds:
-            g, params = build_model(ModelSpec(family, dims, cfg.activation, seed))
-            lg, report = level(g)
-            multi_level = len({report.structure.levels[v]
-                               for v in lg.trainable_leaves()}) > 1
-            y = _target_for(lg, params, cfg.target_offset)
-            bp = backprop(lg, params, y, cfg.lr)
-            for which in ABLATIONS:
-                t0 = time.perf_counter()
-                ab_report = zil_ablate(lg, params, y, cfg.lr, which)
-                elapsed = time.perf_counter() - t0
-                div = divergence(bp.updates, ab_report)
-                ok = div > cfg.tolerance_positive if multi_level else True
-                failed |= not ok
-                rows.append({
-                    "model": label, "seed": seed, "variant": which,
-                    "divergence": div, "wall_time": elapsed,
-                    "expected": "positive" if multi_level else "any",
-                    "ok": ok, "code_hash": stamp, "config": cfg_json,
-                })
-    return rows, (1 if failed else 0)
+    def rows_of(family, g, params):
+        lg, report = level(g)
+        multi_level = len({report.structure.levels[v]
+                           for v in lg.trainable_leaves()}) > 1
+        y = _target_for(lg, params, cfg.target_offset)
+        bp = backprop(lg, params, y, cfg.lr)
+        for which in ABLATIONS:
+            ab_report, elapsed = _timed(lambda: zil_ablate(
+                lg, params, y, cfg.lr, which))
+            div = divergence(bp.updates, ab_report)
+            yield (which, div, elapsed, "positive" if multi_level else "any",
+                   div > cfg.tolerance_positive if multi_level else True)
+    return _suite(cfg, rows_of)
 
 
 def run_benchmark(cfg: ExperimentConfig) -> tuple[list[dict], int]:

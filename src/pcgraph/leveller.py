@@ -75,17 +75,13 @@ def level(g: Graph) -> tuple[Graph, LevelReport]:
             pad = paddings[(v.id, slot)]
             if pad == 0:
                 continue
-            # Chain parent -> id_1 -> ... -> id_pad -> child.
-            below = c
-            chain: list[VertexId] = []
-            for _ in range(pad):
-                chain.append(next_id)
-                next_id += 1
-            for pos, vid in enumerate(chain):
-                target = chain[pos + 1] if pos + 1 < len(chain) else below
-                new_vertices.append(Vertex(vid, fns.identity(), (target,),
-                                           False, None, True, None))
-            children[slot] = chain[0]
+            # Chain parent -> next_id -> ... -> next_id + pad - 1 -> child.
+            for vid in range(next_id, next_id + pad):
+                below = vid + 1 if vid + 1 < next_id + pad else c
+                new_vertices.append(Vertex(vid, fns.identity(), (below,),
+                                           False))
+            children[slot] = next_id
+            next_id += pad
         if children != list(v.children):
             new_vertices[v.id] = replace(v, children=tuple(children))
     levelled = Graph(new_vertices, g.output, g.tie_groups)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import functions as fns
 from .errors import BadSpec
-from .graph import Graph, GraphBuilder, VertexId
+from .graph import Graph, GraphBuilder, Vertex, VertexId
 from .numerics import Array, as_f64
 
 FAMILIES = ("mlp", "conv1d", "rnn", "residual", "attention", "sqrtsquare", "skipchain")
@@ -61,30 +61,14 @@ class ModelSpec:
 
 
 def default_dims(family: str) -> tuple[int, ...]:
-    return {
-        "mlp": (4, 8, 1),
-        "conv1d": (6, 2),
-        "rnn": (3, 3, 4),
-        "residual": (4, 4, 1),
-        "attention": (4, 4),
-        "sqrtsquare": (),
-        "skipchain": (),
-    }[family]
+    return _FAMILY_TABLE[family][1]
 
 
 def build_model(spec: ModelSpec) -> tuple[Graph, dict[VertexId, Array]]:
     """Build the family's graph and its seed-determined initial parameters."""
-    dims = spec.dims or default_dims(spec.family)
-    builder = {
-        "mlp": _build_mlp,
-        "conv1d": _build_conv1d,
-        "rnn": _build_rnn,
-        "residual": _build_residual,
-        "attention": _build_attention,
-        "sqrtsquare": _build_sqrtsquare,
-        "skipchain": _build_skipchain,
-    }[spec.family]
-    return builder(dims, spec.activation, np.random.default_rng(spec.seed))
+    builder, dims = _FAMILY_TABLE[spec.family]
+    return builder(spec.dims or dims, spec.activation,
+                   np.random.default_rng(spec.seed))
 
 
 def _uniform(rng, shape=()):
@@ -259,6 +243,18 @@ def _build_skipchain(dims, activation, rng):
                           z2: as_f64(1.0), z3: as_f64(1.0)}
 
 
+# Family -> (builder, default dims).
+_FAMILY_TABLE = {
+    "mlp": (_build_mlp, (4, 8, 1)),
+    "conv1d": (_build_conv1d, (6, 2)),
+    "rnn": (_build_rnn, (3, 3, 4)),
+    "residual": (_build_residual, (4, 4, 1)),
+    "attention": (_build_attention, (4, 4)),
+    "sqrtsquare": (_build_sqrtsquare, ()),
+    "skipchain": (_build_skipchain, ()),
+}
+
+
 def untie(g: Graph) -> Graph:
     """Clone with every tied leaf promoted to an independent parameter.
 
@@ -327,21 +323,13 @@ def random_graph(seed: int) -> tuple[Graph, dict[VertexId, Array], float]:
                 else fns.identity())
     children_of[0] = out_children
 
-    builderless = []
-    for vid in range(n):
-        if is_leaf[vid]:
-            builderless.append((vid, None, ()))
-        else:
-            builderless.append((vid, fn_of[vid], tuple(children_of[vid])))
-    from .graph import Vertex
-
     trainable_flags = {vid: bool(rng.random() < 0.8)
                        for vid in range(n) if is_leaf[vid]}
     if trainable_flags and not any(trainable_flags.values()):
         trainable_flags[sorted(trainable_flags)[0]] = True
-    vertices = [Vertex(vid, fn, kids, fn is None,
-                       None, trainable_flags.get(vid, True), None)
-                for vid, fn, kids in builderless]
+    vertices = [Vertex(vid, fn_of.get(vid), tuple(children_of.get(vid, ())),
+                       is_leaf[vid], None, trainable_flags.get(vid, True))
+                for vid in range(n)]
     g = Graph(vertices, 0, ())
     params = {vid: _uniform(rng) for vid in g.leaves}
     y = float(rng.uniform(-2.0, 2.0))

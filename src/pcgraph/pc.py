@@ -8,30 +8,18 @@ gradient descent on the energy
 
     F = 1/2 * sum_internal eps_i^2
 
-with the output value node clamped to a target.  Training
-runs a :class:`ZilSchedule`, which names the step at which each
-trainable leaf reads its parents' errors, through one runner,
-:func:`run_schedule`.  Inference learning (IL) reads every leaf after
+with the output value node clamped to a target.  Training runs a
+:class:`ZilSchedule`, which names the step at which each trainable
+leaf reads its parents' errors, through one runner, :func:`run_schedule`,
+from one forward pass.  Inference learning (IL) reads every leaf after
 T steps; Z-IL (:mod:`.zil`) reads each at its level's step.  The
-runner picks the engine: the step engine, :func:`relax_schedule`, or,
-where every leaf is read at level(leaf) - 1 on a levelled graph, one
-reverse sweep, :func:`_wavefront`, that gives the same bytes.
-
-The step engine holds the x, mu and eps of every internal vertex in
-place, in flat float64 buffers, and relaxes them all at once, a few
-whole-buffer NumPy calls a step.  Predictions and pulls are recomputed
-only where a value moved: in one batch call per group of vertices that
-apply one rule (:class:`functions.Batch`), on rows gathered from the
-buffers, where enough of a group is due; else per vertex.  A batch
-writes only members still in the run's region, and its result is kept
-only where it is finite and raised nothing; else the vertices run one
-by one, so bytes, NaN bits and exceptions stay the per-vertex rule's.
-What the engine returns holds no view of a buffer: a traced run's
-snapshots copy out only what was recomputed since the snapshot before.
-A step that is not finite runs :func:`relax` per vertex instead, where
-each 0-d value node is passed as the NumPy scalar or 0-d array the
-rule would hold, because between two NaN operands a scalar ``+`` keeps
-another NaN than an array does.
+runner picks the engine.  The step engine, :func:`relax_schedule`,
+relaxes every value node at once in flat float64 buffers, one rule
+group per batch call, and keeps the per-vertex rule's bytes, NaN bits
+and exceptions.  Where every leaf is read at level(leaf) - 1 on a
+levelled graph, the wavefront engine, :func:`_wavefront`, gives the
+same bytes at backprop's cost: one reverse sweep in which each vertex
+settles on its forward value, with no state and no second evaluation.
 
 Conventions pinned here and relied on everywhere else:
 
@@ -73,6 +61,7 @@ from .report import UpdateReport, make_report
 # small graphs take 3-11 steps).
 _MIN_DUE = 3
 _LAYOUT_STEPS = 16
+_NEG_ZERO = np.float64(-0.0).view(np.int64)  # -0.0's bits
 
 
 @dataclass(frozen=True)
@@ -119,18 +108,27 @@ class ZilSchedule:
         return self._due.get(t, ())
 
 
-def _predictions(g: Graph, x: Mapping[VertexId, Array],
-                 params: Mapping[VertexId, Array]) -> dict[VertexId, Array]:
-    values = {**params, **x}
-    return {vid: evaluate(g, vid, values) for vid in g.internal_ids}
-
-
 def _with_values(g: Graph, x: dict[VertexId, Array],
                  params: dict[VertexId, Array], t: int) -> PCState:
     """Assemble a consistent state: mu and eps recomputed from x."""
-    mu = _predictions(g, x, params)
+    values = {**params, **x}
+    mu = {vid: evaluate(g, vid, values) for vid in g.internal_ids}
     eps = {vid: x[vid] - mu[vid] for vid in x}
     return PCState(x=x, mu=mu, eps=eps, t=t, params=params)
+
+
+def _start(g: Graph, params: Mapping[VertexId, Array],
+           y: float) -> dict[VertexId, Array]:
+    """The forward values every run starts from, once the target, the
+    output and (in the forward pass) the params are checked."""
+    if not math.isfinite(float(y)):
+        raise GraphError(f"target y must be finite, got {y!r}")
+    if g.vertices[g.output].is_leaf:
+        raise GraphError("predictive-coding state needs a non-leaf output")
+    mu = forward(g, params).mu
+    if mu[g.output].shape != ():
+        raise GraphError("clamping needs a scalar output vertex")
+    return mu
 
 
 def init_state(g: Graph, params: Mapping[VertexId, Array],
@@ -141,19 +139,13 @@ def init_state(g: Graph, params: Mapping[VertexId, Array],
     so all errors start exactly zero, then the output is clamped to
     ``y``; its error is the target miss.
     """
-    if not math.isfinite(float(y)):
-        raise GraphError(f"target y must be finite, got {y!r}")
-    if g.vertices[g.output].is_leaf:
-        raise GraphError("predictive-coding state needs a non-leaf output")
-    trace = forward(g, params)
-    if trace.mu[g.output].shape != ():
-        raise GraphError("clamping needs a scalar output vertex")
-    x = {vid: trace.mu[vid].copy() for vid in g.internal_ids}
+    mu0 = _start(g, params, y)
+    x = {vid: mu0[vid].copy() for vid in g.internal_ids}
     x[g.output] = as_f64(float(y))
-    zeta = {vid: trace.mu[vid] for vid in g.leaves}  # not copied: never written
+    zeta = {vid: mu0[vid] for vid in g.leaves}  # not copied: never written
     # Every prediction reads only children's values, which are the forward
     # values (the clamped output is nobody's child): mu is the forward pass.
-    mu = {vid: trace.mu[vid] for vid in g.internal_ids}
+    mu = {vid: mu0[vid] for vid in g.internal_ids}
     eps = {vid: x[vid] - mu[vid] for vid in x}
     return PCState(x=x, mu=mu, eps=eps, t=0, params=zeta)
 
@@ -168,8 +160,8 @@ def relax(x: Array, eps: Array, terms: list[Array], gamma: float) -> Array:
     """
     if len(terms) == 1:
         step = (terms[0] - eps) + 0.0
-        if all_finite(step):
-            return x + gamma * step
+        if all_finite(step):  # 1.0 * step has step's bytes, NaNs included
+            return x + step if gamma == 1.0 else x + gamma * step
     return x + gamma * fsum_arrays([-eps, *terms])
 
 
@@ -561,22 +553,27 @@ def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
     """Run a schedule from the zero-error start, every value node but
     the clamped output ``shift`` off it, and report its reads.
 
-    The schedule runs on the wavefront engine (:func:`_wavefront`) when
-    every leaf is read at level(leaf) - 1 on a levelled graph, with no
-    shift and no trace; else on the step engine, which then keeps only
-    the light cone: at step t, the internal vertices at level >= t.  A
-    vertex at level k is updated from levels k - 1, k and k + 1 of the
-    step before, so the region is closed under the rule, and it holds
-    everything the reads and the checks of :mod:`.zil` use.  A schedule
-    is checked against the graph first (:func:`_check_schedule`).
+    Every run makes one forward pass, after the checks of
+    :func:`init_state` and before the schedule's own
+    (:func:`_check_schedule`).  When every leaf is read at level(leaf)
+    - 1 on a levelled graph, with no shift and no trace, the forward
+    values go straight to the wavefront engine (:func:`_wavefront`) and
+    no state is built.  Else :func:`init_state` builds the start of the
+    step engine, which then keeps only the light cone: at step t, the
+    internal vertices at level >= t.  A vertex at level k is updated
+    from levels k - 1, k and k + 1 of the step before, so the region is
+    closed under the rule, and it holds everything the reads and the
+    checks of :mod:`.zil` use.
     """
-    state = init_state(g, params, y)
-    _check_schedule(g, schedule)
     at_levels = _reads_at_levels(g, schedule)
     if at_levels and shift == 0.0 and not record_trace:
-        per_leaf = _wavefront(g, state, lr, schedule.gamma)
+        mu = _start(g, params, y)
+        _check_schedule(g, schedule)
+        per_leaf = _wavefront(g, mu, y, lr, schedule.gamma)
         snapshots: tuple[PCState, ...] = ()
     else:
+        state = init_state(g, params, y)
+        _check_schedule(g, schedule)
         if shift != 0.0:
             state = _perturb(state, g, shift)
         cone = level_structure(g).buckets if at_levels else None
@@ -610,31 +607,54 @@ def _reads_at_levels(g: Graph, schedule: ZilSchedule) -> bool:
         levels = level_structure(g).levels
     except NotLevelled:
         return False
-    return all(when == levels[v] - 1
+    return all(levels.get(v) == when + 1  # unchecked: v may be anything
                for v, when in schedule.update_times.items())
 
 
-def _wavefront(g: Graph, state: PCState, lr: float,
+def _wavefront(g: Graph, mu: dict[VertexId, Array], y: float, lr: float,
                gamma: float) -> dict[VertexId, Array]:
-    """One reverse sweep whose internal vertices settle by the Z-IL rule.
+    """One reverse sweep from the forward values ``mu`` in which every
+    internal vertex settles by the Z-IL rule.
 
     By the quiet window (see :func:`zil.check_quiet_window`) a vertex
-    at level k still holds x0 when the wavefront reaches it at step
-    k - 1, and so does everything below it; so the error it settles to
-    is relax(x0, eps0, arriving, gamma) - mu(x0 of its children), and a
-    leaf reads its arriving pulls.  A value node presents x0 + 0.0, as
-    a relaxation step leaves a quiet node; where the step engine reads a
-    raw x0 (at t = 0) the two differ at most in the sign of a zero, and
-    the ``+ 0.0`` of every leaf sum removes that.
+    at level k, and everything below it, still holds x0 = mu0 when the
+    wavefront reaches it at step k - 1; so it settles to relax(x0, eps0,
+    arriving, gamma) - mu(x0 of its children), and a leaf reads its
+    arriving pulls.  The step engine presents a quiet value node as
+    x0 + 0.0, as a relaxation step leaves it (a read at t = 0 sees x0,
+    and the ``+ 0.0`` of every leaf sum hides that sign of a zero).
+    Where mu0 holds no -0.0 and no inf or nan, x0 + 0.0 has x0's bytes,
+    eps0 is +0.0 and mu of the children's values is mu0: the sweep
+    presents mu0 and settles on it, and evaluates nothing.  One test
+    over every internal mu0 at once finds where that fails; only those
+    vertices present x0 + 0.0 and take eps0 = x0 - mu0, and only they
+    and their parents are evaluated again.
     """
-    values = {**state.params, **{v: x + 0.0 for v, x in state.x.items()}}
+    odd: set[VertexId] = set()  # where x0 + 0.0 or x0 - mu0 may differ
+    values = mu
+    if not _plain(np.concatenate([mu[v] for v in g.internal_ids], axis=None)):
+        odd = {v for v in g.internal_ids if not _plain(as_f64(mu[v]))}
+        values = {**mu, **{v: mu[v] + 0.0 for v in odd}}
+    again = odd.union(*({p for p, _slot in g.parents[v]} for v in odd))
+    zeros: dict[tuple[int, ...], Array] = {}  # eps0 = +0.0, by shape
 
     def settle(vid: VertexId, terms: list[Array]) -> Array:
-        return (relax(values[vid], state.eps[vid], terms, gamma)
-                - evaluate(g, vid, values))
+        x = values[vid]
+        if vid in odd:
+            eps = mu[vid] - mu[vid]
+        elif (eps := zeros.get(x.shape)) is None:
+            eps = zeros[x.shape] = np.zeros(x.shape)
+        return relax(x, eps, terms, gamma) - (
+            evaluate(g, vid, values) if vid in again else x)
 
-    signal = reverse_sweep(g, values, state.eps[g.output], settle)
+    signal = reverse_sweep(g, values, as_f64(float(y)) - mu[g.output], settle)
     return {v: lr * signal[v] for v in g.trainable_leaves()}
+
+
+def _plain(a: Array) -> bool:
+    """Whether ``a + 0.0`` has the bytes of ``a`` and ``a - a`` is +0.0:
+    whether ``a`` holds no -0.0 and no inf or nan."""
+    return all_finite(a) and not (a.view(np.int64) == _NEG_ZERO).any()
 
 
 def _perturb(state: PCState, g: Graph, amount: float) -> PCState:

@@ -1,10 +1,10 @@
 """Fuzzing the exit-code contract with mutated graph and config JSON.
 
 Each example takes a valid description (``serial.graph_to_dict`` of a
-zoo model, or the default experiment config) and applies a few
-mutations: a dropped key or list entry, a value of the wrong type, a
-huge or non-finite number, or an id out of range.  The CLI must answer
-with an exit code from its contract and never let an exception escape.
+zoo model, or an experiment config) and applies a few mutations: a
+dropped key or list entry, a value of the wrong type, a huge or
+non-finite number, or an id out of range.  The CLI must answer with an
+exit code from its contract and never let an exception escape.
 """
 
 import copy
@@ -27,6 +27,10 @@ GRAPHS = {family: serial.graph_to_dict(*build_model(ModelSpec(family, (), "tanh"
 # Exit codes each subcommand may answer with: 0 success, 1 criterion
 # failed (grad-check only), 2 usage or input error.
 EXIT_CODES = {"level": {0, 2}, "export-dot": {0, 2}, "grad-check": {0, 1, 2}}
+
+# One family and one seed, so an equivalence run stays cheap.
+EQUIV_CONFIG = {**ExperimentConfig().to_dict(), "families": ["mlp"],
+                "seeds": [0]}
 
 ODD_VALUES = (None, True, "x", [], {}, [1, "a"], {"id": 0}, 1.5, -1, 10**30,
               -10**400, 1e300, -1e300, math.inf, -math.inf, math.nan)
@@ -85,3 +89,15 @@ def test_mutated_configs_build_or_raise_graph_error(data):
     except GraphError:
         return
     assert isinstance(cfg, ExperimentConfig)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_configs_keep_the_exit_code_contract(data):
+    doc = _mutate(EQUIV_CONFIG, data, len(FAMILIES))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main(["equiv", "--config", path, "--out", os.devnull])
+    assert code in {0, 1, 2}, (code, doc)

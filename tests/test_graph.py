@@ -259,6 +259,42 @@ def test_check_params_tie_disagreement():
     check_params(g, {k1: np.asarray(1.0), k2: np.asarray(1.0)})
 
 
+def five_clones():
+    b = GraphBuilder()
+    ks = [b.leaf(tie_group="k") for _ in range(5)]
+    return b.build(b.vertex(fns.add(5), ks)), ks
+
+
+@pytest.mark.parametrize("at", [1, 2, 4])  # the first clone, a middle one, the last
+@pytest.mark.parametrize("odd", [
+    np.array([1.0, 3.0]),        # another value
+    np.array([1.0, np.nan]),     # a nan, which equals nothing
+    np.array([1.0, 2.0, 3.0]),   # another shape
+    np.array(1.0),               # a scalar
+    np.array([[1.0, 2.0]]),      # the same values, laid out in two dims
+])
+def test_check_params_names_the_first_clone_that_disagrees(at, odd):
+    g, ks = five_clones()
+    params = {k: np.array([1.0, 2.0]) for k in ks}
+    check_params(g, params)
+    with pytest.raises(BadTieGroup, match=f"disagree at leaf {ks[at]}$"):
+        check_params(g, {**params, ks[at]: odd})
+    # a later clone of another shape does not hide an earlier disagreement
+    with pytest.raises(BadTieGroup, match=f"disagree at leaf {ks[at]}$"):
+        check_params(g, {**params, ks[at]: odd, ks[-1]: np.zeros(3)}
+                     if at < 4 else {**params, ks[at]: odd})
+
+
+def test_check_params_takes_signed_zeros_as_equal_clones():
+    g, ks = five_clones()
+    params = {k: np.array([0.0, 2.0]) for k in ks}
+    check_params(g, {**params, ks[2]: np.array([-0.0, 2.0])})
+    empty = {k: np.zeros((2, 0)) for k in ks}
+    check_params(g, empty)
+    with pytest.raises(BadTieGroup, match=f"disagree at leaf {ks[1]}$"):
+        check_params(g, {**empty, ks[1]: np.zeros((0, 2))})
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_check_params_rejects_non_finite_values(bad):
     b = GraphBuilder()

@@ -628,7 +628,9 @@ def _wavefront(g: Graph, mu: dict[VertexId, Array], y: float, lr: float,
     presents mu0 and settles on it, and evaluates nothing.  One test
     over every internal mu0 at once finds where that fails; only those
     vertices present x0 + 0.0 and take eps0 = x0 - mu0, and only they
-    and their parents are evaluated again.
+    and their parents are evaluated again.  (An inf or nan in mu0 gives
+    a nan eps0, which the step engine pulls down from t = 0, ahead of
+    the wavefront: there the engines may differ in the signs of nans.)
     """
     odd: set[VertexId] = set()  # where x0 + 0.0 or x0 - mu0 may differ
     values = mu

@@ -14,6 +14,7 @@ arriving contributions — in particular under identity-vertex insertion.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple
@@ -192,13 +193,13 @@ def forward(g: Graph, params: Mapping[VertexId, Array],
     evaluating them — the hook the finite-difference oracle for error
     signals uses.
     """
-    check_params(g, params)
+    leaves = check_params(g, params)
     mu: dict[VertexId, Array] = {}
     for vid, fn, kids in sweep_plan(g).forward:
         if overrides and vid in overrides:
             mu[vid] = as_f64(overrides[vid])
         elif fn is None:
-            mu[vid] = as_f64(params[vid])
+            mu[vid] = leaves[vid]
         else:
             try:
                 mu[vid] = fn(fn.check([mu[c] for c in kids]))
@@ -220,6 +221,20 @@ def _require_scalar_output(g: Graph, trace: ForwardTrace) -> Array:
     return out
 
 
+def check_target(y: float) -> None:
+    """Raise :class:`GraphError` unless the target ``y`` is a finite real
+    number: a real scalar or a 0-d real array, and not a bool."""
+    real = (y.shape == () and y.dtype.kind in "iuf"
+            if isinstance(y, np.ndarray) else
+            isinstance(y, numbers.Real) and not isinstance(y, bool))
+    try:
+        if real and math.isfinite(y):
+            return
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise GraphError(f"target y must be a finite real number, got {y!r}")
+
+
 def backprop(g: Graph, params: Mapping[VertexId, Array], y: float,
              lr: float = 0.01) -> BPReport:
     """One reverse pass: error signals for all vertices, updates for leaves.
@@ -227,8 +242,7 @@ def backprop(g: Graph, params: Mapping[VertexId, Array], y: float,
     delta(output) = mu_out - y; every other vertex accumulates its
     parents' pulled-back signals.  Leaf update: -lr * delta(leaf).
     """
-    if not np.isfinite(float(y)):
-        raise GraphError(f"target y must be finite, got {y!r}")
+    check_target(y)
     trace = forward(g, params)
     mu_out = _require_scalar_output(g, trace)
     delta = reverse_sweep(g, trace.mu, mu_out - float(y),

@@ -369,19 +369,22 @@ def param_keys(g: Graph) -> tuple[ParamKey, ...]:
     return g.param_keys
 
 
-def check_params(g: Graph, params: Mapping[VertexId, Array]) -> None:
-    """Validate that ``params`` covers all leaves with finite values and
-    respects tie groups."""
+def check_params(g: Graph,
+                 params: Mapping[VertexId, Array]) -> dict[VertexId, Array]:
+    """Validate that ``params`` covers all leaves with finite real values
+    and respects tie groups; returns each leaf's value as float64."""
+    values = {}
     for v in g.leaves:
         if v not in params:
             raise GraphError(f"missing value for leaf {v}")
-        if v not in g.group_of and not all_finite(as_f64(params[v])):
+        values[v] = _leaf_value(v, params[v])
+        if v not in g.group_of and not all_finite(values[v]):
             raise GraphError(f"non-finite value for leaf {v}")
     for grp in g.tie_groups:
-        first = as_f64(params[grp.members[0]])
+        first = values[grp.members[0]]
         if not all_finite(first):
             raise GraphError(f"non-finite value for tie group {grp.group_id!r}")
-        clones = [as_f64(params[m]) for m in grp.members[1:]]
+        clones = [values[m] for m in grp.members[1:]]
         same = [c.shape == first.shape for c in clones]
         if not all(same):  # one clone of another shape: compare one by one
             same = [s and np.array_equal(first, c) for s, c in zip(same, clones)]
@@ -391,6 +394,19 @@ def check_params(g: Graph, params: Mapping[VertexId, Array]) -> None:
             m = grp.members[1 + int(np.argmin(same))]  # the first to disagree
             raise BadTieGroup(
                 f"tie group {grp.group_id!r} members disagree at leaf {m}")
+    return values
+
+
+def _leaf_value(v: VertexId, value) -> Array:
+    """Leaf ``v``'s value as float64; a :class:`GraphError` naming the
+    leaf where it is not a real number or a regular array of them."""
+    try:
+        if np.asarray(value).dtype.kind in "biufO":
+            return as_f64(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise GraphError(f"value for leaf {v} must be a real number or an "
+                     f"array of them, got {value!r}")
 
 
 # -- construction --------------------------------------------------------

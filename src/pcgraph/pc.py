@@ -13,13 +13,11 @@ with the output value node clamped to a target.  Training runs a
 leaf reads its parents' errors, through one runner, :func:`run_schedule`,
 from one forward pass.  Inference learning (IL) reads every leaf after
 T steps; Z-IL (:mod:`.zil`) reads each at its level's step.  The
-runner picks the engine.  The step engine, :func:`relax_schedule`,
-relaxes every value node at once in flat float64 buffers, one rule
-group per batch call, and keeps the per-vertex rule's bytes, NaN bits
-and exceptions.  Where every leaf is read at level(leaf) - 1 on a
-levelled graph, the wavefront engine, :func:`_wavefront`, gives the
-same bytes at backprop's cost: one reverse sweep in which each vertex
-settles on its forward value, with no state and no second evaluation.
+runner picks the engine: the wavefront engine, :func:`_wavefront`, one
+reverse sweep at backprop's cost, where it is exact as written; else
+the step engine, :func:`relax_schedule`, which relaxes every value
+node at once in flat float64 buffers and keeps the per-vertex rule's
+bytes, NaN bits and exceptions.
 
 Conventions pinned here and relied on everywhere else:
 
@@ -42,8 +40,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .autodiff import (arriving, evaluate, forward, pull_back, pull_onto,
-                       reverse_sweep)
+from .autodiff import (arriving, check_target, evaluate, forward, pull_back,
+                       pull_onto, reverse_sweep)
 from .errors import DomainError, GraphError, NonFiniteSum, NotLevelled
 from .functions import KINDS
 from .graph import GROUP_MIN, Graph, VertexId, level_structure, step_structure
@@ -121,8 +119,7 @@ def _start(g: Graph, params: Mapping[VertexId, Array],
            y: float) -> dict[VertexId, Array]:
     """The forward values every run starts from, once the target, the
     output and (in the forward pass) the params are checked."""
-    if not math.isfinite(float(y)):
-        raise GraphError(f"target y must be finite, got {y!r}")
+    check_target(y)
     if g.vertices[g.output].is_leaf:
         raise GraphError("predictive-coding state needs a non-leaf output")
     mu = forward(g, params).mu
@@ -139,7 +136,12 @@ def init_state(g: Graph, params: Mapping[VertexId, Array],
     so all errors start exactly zero, then the output is clamped to
     ``y``; its error is the target miss.
     """
-    mu0 = _start(g, params, y)
+    return _state(g, _start(g, params, y), y)
+
+
+def _state(g: Graph, mu0: dict[VertexId, Array], y: float) -> PCState:
+    """The state of :func:`init_state` built from the forward values
+    ``mu0``."""
     x = {vid: mu0[vid].copy() for vid in g.internal_ids}
     x[g.output] = as_f64(float(y))
     zeta = {vid: mu0[vid] for vid in g.leaves}  # not copied: never written
@@ -553,27 +555,26 @@ def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
     """Run a schedule from the zero-error start, every value node but
     the clamped output ``shift`` off it, and report its reads.
 
-    Every run makes one forward pass, after the checks of
-    :func:`init_state` and before the schedule's own
-    (:func:`_check_schedule`).  When every leaf is read at level(leaf)
-    - 1 on a levelled graph, with no shift and no trace, the forward
-    values go straight to the wavefront engine (:func:`_wavefront`) and
-    no state is built.  Else :func:`init_state` builds the start of the
-    step engine, which then keeps only the light cone: at step t, the
-    internal vertices at level >= t.  A vertex at level k is updated
-    from levels k - 1, k and k + 1 of the step before, so the region is
-    closed under the rule, and it holds everything the reads and the
+    One forward pass, after the checks of :func:`init_state`, comes
+    before the schedule's check.  The wavefront engine takes the run
+    where it is exact as written: every leaf read at level(leaf) - 1 on
+    a levelled graph, no shift, no trace, and no -0.0, inf or nan among
+    the internal forward values.  Else the step engine runs from the
+    state of :func:`init_state`; where every leaf is read at level(leaf)
+    - 1 it keeps only the light cone, at step t the internal vertices at
+    level >= t, which is closed under the rule (level k is updated from
+    levels k - 1, k and k + 1) and holds all that the reads and the
     checks of :mod:`.zil` use.
     """
     at_levels = _reads_at_levels(g, schedule)
-    if at_levels and shift == 0.0 and not record_trace:
-        mu = _start(g, params, y)
-        _check_schedule(g, schedule)
+    mu = _start(g, params, y)
+    _check_schedule(g, schedule)
+    if at_levels and shift == 0.0 and not record_trace and _plain(
+            np.concatenate([mu[v] for v in g.internal_ids], axis=None)):
         per_leaf = _wavefront(g, mu, y, lr, schedule.gamma)
         snapshots: tuple[PCState, ...] = ()
     else:
-        state = init_state(g, params, y)
-        _check_schedule(g, schedule)
+        state = _state(g, mu, y)
         if shift != 0.0:
             state = _perturb(state, g, shift)
         cone = level_structure(g).buckets if at_levels else None
@@ -620,36 +621,20 @@ def _wavefront(g: Graph, mu: dict[VertexId, Array], y: float, lr: float,
     at level k, and everything below it, still holds x0 = mu0 when the
     wavefront reaches it at step k - 1; so it settles to relax(x0, eps0,
     arriving, gamma) - mu(x0 of its children), and a leaf reads its
-    arriving pulls.  The step engine presents a quiet value node as
-    x0 + 0.0, as a relaxation step leaves it (a read at t = 0 sees x0,
-    and the ``+ 0.0`` of every leaf sum hides that sign of a zero).
-    Where mu0 holds no -0.0 and no inf or nan, x0 + 0.0 has x0's bytes,
-    eps0 is +0.0 and mu of the children's values is mu0: the sweep
-    presents mu0 and settles on it, and evaluates nothing.  One test
-    over every internal mu0 at once finds where that fails; only those
-    vertices present x0 + 0.0 and take eps0 = x0 - mu0, and only they
-    and their parents are evaluated again.  (An inf or nan in mu0 gives
-    a nan eps0, which the step engine pulls down from t = 0, ahead of
-    the wavefront: there the engines may differ in the signs of nans.)
+    arriving pulls.  The caller vouches that no internal mu0 holds a
+    -0.0, an inf or a nan (:func:`_plain`): there the step engine's
+    quiet x0 + 0.0 has x0's bytes, eps0 is +0.0 and mu of the children
+    is mu0, so nothing is evaluated again.
     """
-    odd: set[VertexId] = set()  # where x0 + 0.0 or x0 - mu0 may differ
-    values = mu
-    if not _plain(np.concatenate([mu[v] for v in g.internal_ids], axis=None)):
-        odd = {v for v in g.internal_ids if not _plain(as_f64(mu[v]))}
-        values = {**mu, **{v: mu[v] + 0.0 for v in odd}}
-    again = odd.union(*({p for p, _slot in g.parents[v]} for v in odd))
     zeros: dict[tuple[int, ...], Array] = {}  # eps0 = +0.0, by shape
 
     def settle(vid: VertexId, terms: list[Array]) -> Array:
-        x = values[vid]
-        if vid in odd:
-            eps = mu[vid] - mu[vid]
-        elif (eps := zeros.get(x.shape)) is None:
+        x = mu[vid]
+        if (eps := zeros.get(x.shape)) is None:
             eps = zeros[x.shape] = np.zeros(x.shape)
-        return relax(x, eps, terms, gamma) - (
-            evaluate(g, vid, values) if vid in again else x)
+        return relax(x, eps, terms, gamma) - x
 
-    signal = reverse_sweep(g, values, as_f64(float(y)) - mu[g.output], settle)
+    signal = reverse_sweep(g, mu, as_f64(float(y)) - mu[g.output], settle)
     return {v: lr * signal[v] for v in g.trainable_leaves()}
 
 

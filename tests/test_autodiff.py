@@ -103,11 +103,27 @@ def test_shared_subexpression_accumulates_both_paths():
     assert float(rep.delta[z]) == 9.0 * 2.0 * 3.0
 
 
-@pytest.mark.parametrize("y", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("y", [
+    float("inf"), float("-inf"), float("nan"),
+    pytest.param("1.0", id="str"), pytest.param(None, id="None"),
+    pytest.param([1.0], id="list"), pytest.param(np.ones(1), id="1-d"),
+    pytest.param(10**400, id="huge-int"), pytest.param(True, id="bool"),
+    pytest.param(1 + 0j, id="complex"),
+])
 def test_backprop_rejects_a_non_finite_target(y):
     g, params = nested_root_graph()
     with pytest.raises(GraphError, match="finite"):
         backprop(g, params, y=y)
+
+
+@pytest.mark.parametrize("y", [4, np.float32(4.0), np.asarray(4.0),
+                               np.asarray(4, dtype=np.int8)])
+def test_backprop_takes_any_finite_real_target(y):
+    g, params = nested_root_graph()
+    want = backprop(g, params, y=4.0).updates
+    got = backprop(g, params, y=y).updates
+    assert [(k, d.tobytes()) for k, d in got.items()] == \
+        [(k, d.tobytes()) for k, d in want.items()]
 
 
 def test_backprop_rejects_a_non_finite_param():

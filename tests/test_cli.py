@@ -201,6 +201,17 @@ def test_bad_config_types_are_a_usage_error(tmp_path, capsys, config):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("family, dims", [
+    ("conv1d", ["6"]), ("rnn", ["3", "4"]), ("residual", ["3", "4", "5", "6"]),
+    ("attention", ["3"]),
+])
+def test_build_rejects_the_wrong_number_of_dims(capsys, family, dims):
+    assert main(["build", "--family", family, "--dims", *dims]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and family in err
+    assert "Traceback" not in err
+
+
 def test_build_rejects_a_negative_seed(capsys):
     assert main(["build", "--family", "mlp", "--seed", "-1"]) == 2
     err = capsys.readouterr().err

@@ -314,6 +314,27 @@ def test_check_params_rejects_non_finite_values(bad):
         check_params(g, {**ok, k1: np.asarray(bad), k2: np.asarray(bad)})
 
 
+@pytest.mark.parametrize("bad", [
+    pytest.param("1.0", id="str"), pytest.param([1.0, [2.0]], id="ragged"),
+    pytest.param({}, id="dict"), pytest.param(1 + 0j, id="complex"),
+    pytest.param(np.array([1j, 2.0]), id="complex-array"),
+    pytest.param(10**400, id="huge-int"),
+])
+def test_check_params_names_a_leaf_whose_value_is_not_real(bad):
+    b = GraphBuilder()
+    k1 = b.leaf(tie_group="k")
+    k2 = b.leaf(tie_group="k")
+    w = b.leaf()
+    x = b.leaf(trainable=False)
+    g = b.build(b.vertex(fns.add(4), [k1, k2, w, x]))
+    ok = {k1: np.asarray(1.0), k2: np.asarray(1.0), w: np.asarray(2.0),
+          x: np.asarray(4.0)}
+    for leaf in (w, x, k1, k2):  # free leaves and tie members alike
+        with pytest.raises(GraphError, match=f"value for leaf {leaf} must be "
+                                             f"a real number"):
+            check_params(g, {**ok, leaf: bad})
+
+
 # -- plain-dict construction (pcgraph.serial.build_graph) -----------------
 
 def test_build_graph_from_description():

@@ -592,6 +592,73 @@ def test_group_runs_match_the_oracle(k, batch_calls, monkeypatch):
     assert batched == {kind for kind, rule in fns.KINDS.items() if rule.batch}
 
 
+@pytest.fixture
+def splits(monkeypatch):
+    """The number of groups each :func:`pc._split` call returned."""
+    made = []
+    split = pc._split
+
+    def counted(*args):
+        groups = split(*args)
+        made.append(len(groups))
+        return groups
+
+    monkeypatch.setattr(pc, "_split", counted)
+    return made
+
+
+def test_scalar_activations_are_left_out_of_their_group(batch_calls, splits):
+    """Four scalar tanh vertices form a group of the graph, but a 0-d
+    activation has no batch form (``Batch.scalars``), so the run's
+    split keeps none of them and each runs per vertex."""
+    b = GraphBuilder()
+    params = {}
+    tops = []
+    for i in range(GROUP_MIN):
+        w, x = b.leaf(), b.leaf(trainable=False)
+        params.update({w: np.asarray(0.3 + 0.1 * i), x: np.asarray(1.0 - i)})
+        m = b.vertex(fns.multiply(), [w, x])
+        tops.append(b.vertex(fns.activation("tanh"), [m]))
+    g = b.build(b.vertex(fns.add(GROUP_MIN), tops))
+    assert frozenset(tops) in graph_module.step_structure(g).groups
+    assert_group_runs_match_the_oracle(g, params, target(g, params))
+    assert splits and not any(splits)
+    assert batch_calls == []
+
+
+def identity_chain(depth):
+    """out = identity(... identity(w * x)), ``depth`` identities: one
+    group, whose members the relaxation reaches one step after another."""
+    b = GraphBuilder()
+    w, x = b.leaf(), b.leaf(trainable=False)
+    top = b.vertex(fns.multiply(), [w, x])
+    for _ in range(depth):
+        top = b.vertex(fns.identity(), [top])
+    g = b.build(top)
+    params = {w: np.asarray(0.7), x: np.asarray(-1.3)}
+    return g, params, target(g, params)
+
+
+@pytest.mark.parametrize("T, laid_out", [(16, False), (40, True)])
+def test_a_group_first_due_late_in_a_run_is_not_laid_out(T, laid_out,
+                                                        splits):
+    """Three members of the chain's group (the output and the two
+    identities below it) are first due at t = 2: with T = 16 fewer than
+    16 steps are left there, so the run lays out no group and runs per
+    vertex; with T = 40 it lays the group out."""
+    g, params, y = identity_chain(8)
+    for gamma in (0.1, 1.0):
+        schedule = il_schedule(g, gamma, T)
+        assert schedule.steps > pc._LAYOUT_STEPS
+        expected, _snaps = relax_every_step(g, params, y, LR, schedule, 0.0)
+        want = make_report(g, "il", expected).updates
+        got = il_train_step(g, params, y, LR, gamma, T).updates
+        assert list(got) == list(want)
+        for key, delta in want.items():
+            assert got[key].tobytes() == delta.tobytes(), (T, gamma, key)
+    assert bool(splits) == laid_out
+
+
 def same_nan_bits_too(a, b):
     """The bytes, NaN payloads included, as :func:`same_bytes`; given as
     its own comparator, it leaves out the check outcomes, which hold

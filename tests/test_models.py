@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from pcgraph import models
 from pcgraph.autodiff import backprop, forward, grad_check
 from pcgraph.errors import BadSpec
+from pcgraph.functions import FnKind
 from pcgraph.graph import level_structure, path_length_sets
 from pcgraph.leveller import level
+from pcgraph.report import divergence
+from pcgraph.zil import zil_train_step
 
 
 def test_every_family_builds_and_evaluates():
@@ -81,6 +84,29 @@ def test_conv_ties_one_group_per_kernel_entry():
         for m in grp.members:
             assert np.array_equal(params[m], first)
         assert np.array_equal(grp.shared_value, first)
+
+
+@pytest.mark.parametrize("length, ksize", [(1, 1), (5, 1), (5, 5)])
+def test_conv1d_with_a_one_tap_or_a_full_length_kernel(length, ksize):
+    """A one-tap kernel makes each position its product, with no sum; a
+    kernel as long as the input leaves one position, which is the sum
+    below the output.  Levelled Z-IL gives BP's updates within
+    criterion 4's bound, and the same bytes traced or not."""
+    for seed in range(3):
+        g, params = models.build_model(
+            models.ModelSpec("conv1d", (length, ksize), "tanh", seed))
+        n_pos = length - ksize + 1
+        assert [len(grp.members) for grp in g.tie_groups] == [n_pos] * ksize
+        adds = sum(g.vertices[v].fn.kind is FnKind.ADD for v in g.internal_ids)
+        assert adds == n_pos * (ksize > 1) + (n_pos > 1)
+        lg, _report = level(g)
+        y = forward(lg, params).output_value(lg) + 0.5
+        bp = backprop(lg, params, y, lr=0.01)
+        zil, _trace = zil_train_step(lg, params, y, 0.01, record_trace=False)
+        traced, _trace = zil_train_step(lg, params, y, 0.01, record_trace=True)
+        assert divergence(bp.updates, zil) <= 1e-9
+        assert [(k, d.tobytes()) for k, d in zil.updates.items()] == \
+            [(k, d.tobytes()) for k, d in traced.updates.items()]
 
 
 def test_rnn_shares_both_transition_matrices():

@@ -64,7 +64,13 @@ def test_init_rejects_leaf_output():
         init_state(b2.build(lone), {lone: np.asarray(1.0)}, y=1.0)
 
 
-@pytest.mark.parametrize("y", [float("inf"), float("nan")])
+@pytest.mark.parametrize("y", [
+    float("inf"), float("nan"),
+    pytest.param("1.0", id="str"), pytest.param(None, id="None"),
+    pytest.param([1.0], id="list"), pytest.param(np.ones(1), id="1-d"),
+    pytest.param(10**400, id="huge-int"), pytest.param(True, id="bool"),
+    pytest.param(1 + 0j, id="complex"),
+])
 def test_init_rejects_a_non_finite_target(y):
     g, params = fig_one()
     with pytest.raises(GraphError, match="finite"):

@@ -373,7 +373,7 @@ def check_params(g: Graph,
                  params: Mapping[VertexId, Array]) -> dict[VertexId, Array]:
     """Validate that ``params`` covers all leaves with finite real values
     and respects tie groups; returns each leaf's value as float64."""
-    values = {}
+    values: dict[VertexId, Array] = {}
     for v in g.leaves:
         if v not in params:
             raise GraphError(f"missing value for leaf {v}")

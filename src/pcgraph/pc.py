@@ -560,11 +560,11 @@ def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
     where it is exact as written: every leaf read at level(leaf) - 1 on
     a levelled graph, no shift, no trace, and no -0.0, inf or nan among
     the internal forward values.  Else the step engine runs from the
-    state of :func:`init_state`; where every leaf is read at level(leaf)
-    - 1 it keeps only the light cone, at step t the internal vertices at
-    level >= t, which is closed under the rule (level k is updated from
-    levels k - 1, k and k + 1) and holds all that the reads and the
-    checks of :mod:`.zil` use.
+    state of :func:`init_state`; where every leaf is read at
+    level(leaf) - 1 it keeps only the light cone, at step t the internal
+    vertices at level >= t, which is closed under the rule (level k is
+    updated from levels k - 1, k and k + 1) and holds all that the reads
+    and the checks of :mod:`.zil` use.
     """
     at_levels = _reads_at_levels(g, schedule)
     mu = _start(g, params, y)

@@ -14,7 +14,6 @@ arriving contributions — in particular under identity-vertex insertion.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import DomainError, GraphError, ShapeMismatch
 from .functions import ElemFn
 from .graph import Graph, ParamKey, VertexId, check_params
-from .numerics import Array, as_f64, fsum_arrays
+from .numerics import Array, as_f64, fsum_arrays, is_finite_real
 
 
 @dataclass(frozen=True)
@@ -221,18 +220,11 @@ def _require_scalar_output(g: Graph, trace: ForwardTrace) -> Array:
     return out
 
 
-def check_target(y: float) -> None:
-    """Raise :class:`GraphError` unless the target ``y`` is a finite real
-    number: a real scalar or a 0-d real array, and not a bool."""
-    real = (y.shape == () and y.dtype.kind in "iuf"
-            if isinstance(y, np.ndarray) else
-            isinstance(y, numbers.Real) and not isinstance(y, bool))
-    try:
-        if real and math.isfinite(y):
-            return
-    except OverflowError:  # an int beyond the float range
-        pass
-    raise GraphError(f"target y must be a finite real number, got {y!r}")
+def check_real(value, name: str) -> None:
+    """Raise :class:`GraphError` unless ``value`` (the target ``y`` or a
+    learning rate) is a finite real number (:func:`is_finite_real`)."""
+    if not is_finite_real(value):
+        raise GraphError(f"{name} must be a finite real number, got {value!r}")
 
 
 def backprop(g: Graph, params: Mapping[VertexId, Array], y: float,
@@ -242,7 +234,8 @@ def backprop(g: Graph, params: Mapping[VertexId, Array], y: float,
     delta(output) = mu_out - y; every other vertex accumulates its
     parents' pulled-back signals.  Leaf update: -lr * delta(leaf).
     """
-    check_target(y)
+    check_real(y, "target y")
+    check_real(lr, "learning rate lr")
     trace = forward(g, params)
     mu_out = _require_scalar_output(g, trace)
     delta = reverse_sweep(g, trace.mu, mu_out - float(y),

@@ -26,7 +26,7 @@ from .graph import Graph, VertexId
 from .leveller import level
 from .functions import ACTIVATION_NAMES
 from .models import FAMILIES, LEVELLED_FAMILIES, ModelSpec, build_model, default_dims
-from .numerics import Array, is_integer
+from .numerics import Array, is_finite_real, is_integer
 from .pc import il_train_step
 from .report import divergence
 from .zil import (ABLATIONS, check_quiet_window, make_schedule, zil_ablate,
@@ -101,10 +101,7 @@ def _check_config(cfg: ExperimentConfig) -> None:
         raise GraphError(f"config 'activation' must be one of {ACTIVATION_NAMES}")
     for name in ("lr", "gamma_il", "tolerance_zero", "tolerance_positive",
                  "target_offset"):
-        value = getattr(cfg, name)
-        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                # finite, and no int too large for a float (exact compare)
-                and abs(value) <= sys.float_info.max):
+        if not is_finite_real(getattr(cfg, name)):
             raise GraphError(f"config {name!r} must be a finite number")
     for name in ("tolerance_zero", "tolerance_positive"):
         if getattr(cfg, name) < 0:

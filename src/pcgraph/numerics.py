@@ -8,23 +8,41 @@ every such sum independent of traversal order, which is what lets the
 test suite demand *exact* equality of results before and after graph
 transformations that only re-route edges.
 
-Two algorithms compute these sums.  ``math.fsum`` (Shewchuk's
-partials) sums short inputs, among them every component of
-:func:`fsum_arrays`.  A scalar sum of :data:`_FSUM_BELOW` terms or more
-goes through a small superaccumulator (Neal 2015, "Fast exact summation
-using small and large superaccumulators"): each double is an integer
-mantissa times a power of two, NumPy sums the mantissas' halves per
-exponent exactly, a block at a time, and Python integers combine the
-per-exponent sums and round once.  A correctly rounded sum is unique,
-so both give the same bits.  They differ only where ``math.fsum``'s
-partials overflow although the exact sum does not; there the exact sum
-decides, so an exact sum raises ``OverflowError`` only when the exact
-sum itself is beyond the float range.
+Three algorithms compute these sums, and a correctly rounded sum is
+unique, so all give the same bits.
+
+- ``math.fsum`` (Shewchuk's partials) sums inputs of fewer than
+  :data:`_FSUM_BELOW` terms, among them every component of
+  :func:`fsum_arrays`.
+- A longer sum takes one certified extraction pass (Rump, Ogita & Oishi
+  2008, "Accurate floating-point summation part I: faithful rounding",
+  SIAM J. Sci. Comput. 31(1), section 3, *ExtractVector*).  With
+  sigma = 2**(e + M), where every |term| < 2**e and a block holds fewer
+  than 2**M terms, q = (sigma + p) - sigma and p - q split each term
+  without error, and a block's q sum is exact in any order.  NumPy sums
+  each block's q and p - q; ``math.fsum`` rounds the block sums once to
+  r.  The p - q sums carry a rounding error of at most
+  gamma(B - 1) * n * 2**-53 * sigma over n terms in blocks of B, and r
+  is returned only where the block sums moved by that bound either way
+  still round to r: rounding is monotone, so the exact sum rounds to r.
+- Everywhere else (an inf or a nan, a term too large for sigma, or a
+  sum the pass cannot certify) a small superaccumulator decides (Neal
+  2015, "Fast exact summation using small and large
+  superaccumulators"): each double is an integer mantissa times a power
+  of two, NumPy sums the mantissas' halves per exponent exactly, a block
+  at a time, and Python integers combine the per-exponent sums and
+  round once.
+
+The algorithms differ only where ``math.fsum``'s partials overflow
+although the exact sum does not; there the exact sum decides, so an
+exact sum raises ``OverflowError`` only when the exact sum itself is
+beyond the float range.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +52,8 @@ from .errors import NonFiniteSum
 Array = np.ndarray
 
 _FSUM_BELOW = 2048  # shorter sums go to math.fsum, which is faster there
+_SPLIT = 8192       # B: terms per extraction block, two B-sized buffers
+_SPLIT_BITS = 14    # M: B < 2**M keeps a block's q sum exact
 _BLOCK = 4096       # terms per superaccumulator pass: bounds its buffers
 _RUN = 1 << 26      # terms whose per-exponent float64 sums stay exact
 _HALF = (1 << 26) - 1
@@ -45,6 +65,18 @@ def is_integer(value) -> bool:
     """An int, but not a bool: bool is an int subclass, but True is not
     a count, an id or a step."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A finite real number: a real scalar or a 0-d real array, but not a
+    bool, a str, a complex or an int beyond the float range."""
+    real = (value.shape == () and value.dtype.kind in "iuf"
+            if isinstance(value, np.ndarray) else
+            isinstance(value, numbers.Real) and not isinstance(value, bool))
+    try:
+        return real and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def as_f64(value) -> Array:
@@ -124,8 +156,54 @@ def _superaccumulate(values: Array, square: bool) -> int | None:
     return total
 
 
+def _extracted_sum(values: Array, square: bool) -> float | None:
+    """The correctly rounded sum of a flat float64 array (or of its
+    squares) by one certified extraction pass, or None where the pass
+    cannot vouch for it: an inf or a nan, a largest term of 2**1009 or
+    more, an overflow in ``math.fsum``, or a sum too near a rounding
+    boundary.  Two ``_SPLIT``-sized buffers hold a block at a time.
+    """
+    top = max(float(values.max(initial=0.0)), -float(values.min(initial=0.0)))
+    mu = top * top if square else top  # the largest term; inf if it overflows
+    if not mu:
+        return 0.0
+    if not math.isfinite(mu):
+        return None
+    exponent = math.frexp(mu)[1] + _SPLIT_BITS  # mu < 2**(exponent - M)
+    if exponent > 1023:
+        return None
+    sigma = math.ldexp(1.0, exponent)
+    size = min(_SPLIT, values.size)
+    high, low = np.empty(size), np.empty(size)
+    parts = []
+    for start in range(0, values.size, _SPLIT):
+        block = values[start:start + _SPLIT]
+        q, p = high[:block.size], low[:block.size]
+        if square:
+            block = np.multiply(block, block, out=p)
+        np.add(block, sigma, out=q)
+        q -= sigma
+        np.subtract(block, q, out=p)
+        parts += (float(q.sum()), float(p.sum()))
+    # gamma(B - 1) < B * 2**-53 and |p - q| <= 2**-53 * sigma.  Every term
+    # and rounding error is a multiple of 2**-1074, so a bound that
+    # underflows there still bounds the error.
+    bound = math.ldexp(values.size * _SPLIT, exponent - 106)
+    try:
+        total = math.fsum(parts)
+        if math.fsum(parts + [bound]) == total == math.fsum(parts + [-bound]):
+            return total
+    except OverflowError:
+        pass
+    return None
+
+
 def _exact_sum(values: Array, square: bool = False) -> float:
     """``math.fsum`` of a flat float64 array, or of its squares, by bits.
+
+    Below ``_FSUM_BELOW`` terms ``math.fsum`` sums; a longer sum takes
+    :func:`_extracted_sum` where that certifies its result, and else
+    the superaccumulator, which is exact on any input.
 
     Raises ``OverflowError`` (with ``math.fsum``'s message) only when
     the exact sum is beyond the float range.  A sum with an inf or a nan
@@ -140,6 +218,8 @@ def _exact_sum(values: Array, square: bool = False) -> float:
             if not np.isfinite(terms).all():
                 raise
             # math.fsum's partials overflowed: let the exact sum decide
+    elif (certified := _extracted_sum(values, square)) is not None:
+        return certified
     total = 0
     for start in range(0, values.size, _RUN):
         part = _superaccumulate(values[start:start + _RUN], square)

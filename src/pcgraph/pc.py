@@ -40,13 +40,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .autodiff import (arriving, check_target, evaluate, forward, pull_back,
+from .autodiff import (arriving, check_real, evaluate, forward, pull_back,
                        pull_onto, reverse_sweep)
 from .errors import DomainError, GraphError, NonFiniteSum, NotLevelled
 from .functions import KINDS
 from .graph import GROUP_MIN, Graph, VertexId, level_structure, step_structure
-from .numerics import (Array, all_finite, as_f64, fsum_arrays, is_integer,
-                       sum_of_squares)
+from .numerics import (Array, all_finite, as_f64, fsum_arrays,
+                       is_finite_real, is_integer, sum_of_squares)
 from .report import UpdateReport, make_report
 
 
@@ -119,7 +119,7 @@ def _start(g: Graph, params: Mapping[VertexId, Array],
            y: float) -> dict[VertexId, Array]:
     """The forward values every run starts from, once the target, the
     output and (in the forward pass) the params are checked."""
-    check_target(y)
+    check_real(y, "target y")
     if g.vertices[g.output].is_leaf:
         raise GraphError("predictive-coding state needs a non-leaf output")
     mu = forward(g, params).mu
@@ -566,6 +566,7 @@ def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
     updated from levels k - 1, k and k + 1) and holds all that the reads
     and the checks of :mod:`.zil` use.
     """
+    check_real(lr, "learning rate lr")
     at_levels = _reads_at_levels(g, schedule)
     mu = _start(g, params, y)
     _check_schedule(g, schedule)
@@ -585,7 +586,7 @@ def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
 
 
 def _check_gamma(gamma: float) -> None:
-    if not (math.isfinite(gamma) and gamma > 0):
+    if not (is_finite_real(gamma) and gamma > 0):
         raise GraphError(
             f"inference step size must be finite and positive, got {gamma!r}")
 

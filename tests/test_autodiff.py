@@ -111,9 +111,12 @@ def test_shared_subexpression_accumulates_both_paths():
     pytest.param(1 + 0j, id="complex"),
 ])
 def test_backprop_rejects_a_non_finite_target(y):
+    """And the same value as its learning rate."""
     g, params = nested_root_graph()
     with pytest.raises(GraphError, match="finite"):
         backprop(g, params, y=y)
+    with pytest.raises(GraphError, match="finite"):
+        backprop(g, params, y=4.0, lr=y)
 
 
 @pytest.mark.parametrize("y", [4, np.float32(4.0), np.asarray(4.0),

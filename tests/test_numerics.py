@@ -248,6 +248,53 @@ def test_l2_norm_holds_no_input_sized_temporary():
     assert peak < values.nbytes / 4, peak
 
 
+def _accumulated(values, square):
+    """The superaccumulator's sum, rounded once, as bytes; math.fsum's
+    where an inf or a nan stops it."""
+    total = numerics._superaccumulate(values, square)
+    if total is None:
+        return _reference((values * values if square else values).tolist())
+    return struct.pack("<d", total / numerics._ULP)
+
+
+def test_a_long_sum_is_certified_without_the_superaccumulator():
+    # A block's q sum is exact only with fewer than 2**M terms.
+    assert numerics._SPLIT < 2 ** numerics._SPLIT_BITS
+    values = np.random.default_rng(0).standard_normal(100_000)
+    with mock.patch.object(numerics, "_superaccumulate",
+                           side_effect=AssertionError("not certified")):
+        got = [exact_sum(values), sum_of_squares(values)]
+    want = [_accumulated(values, False), _accumulated(values, True)]
+    assert [struct.pack("<d", v) for v in got] == want
+
+
+def _padded(*terms):
+    return np.pad(terms, (0, 2 * numerics._FSUM_BELOW - len(terms)))
+
+
+_NORMAL = np.random.default_rng(1).standard_normal(3000)
+
+
+@pytest.mark.parametrize("values, square", [
+    pytest.param(_padded(2.0 ** 53, 1.0), False, id="midpoint"),
+    pytest.param(_padded(2.0 ** 27, 1.0, 1.0), True, id="midpoint-of-squares"),
+    pytest.param(np.tile([1e308, -1e308], numerics._BLOCK), False,
+                 id="near-overflow"),
+    pytest.param(np.concatenate([_NORMAL, -_NORMAL, [1e-30]]), False,
+                 id="cancellation"),
+    pytest.param(np.append(_NORMAL, math.inf), True, id="inf"),
+    pytest.param(np.append(_NORMAL, -math.inf), False, id="-inf"),
+    pytest.param(np.append(_NORMAL, math.nan), False, id="nan"),
+])
+def test_an_uncertified_sum_falls_back_to_the_superaccumulator(values, square):
+    want = _accumulated(values, square)
+    with mock.patch.object(numerics, "_superaccumulate",
+                           wraps=numerics._superaccumulate) as spy:
+        got = sum_of_squares(values) if square else exact_sum(values)
+    assert spy.call_count == 1
+    assert struct.pack("<d", got) == want
+
+
 def test_sum_of_squares_is_inf_beyond_the_float_range():
     assert sum_of_squares([1.3e154, 1.3e154]) == math.inf  # each square fits
     assert sum_of_squares([1e155]) == math.inf  # the square itself overflows

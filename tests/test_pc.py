@@ -11,9 +11,11 @@ from pcgraph import models
 from pcgraph.autodiff import arriving, backprop, forward, pull_back
 from pcgraph.errors import DomainError, GraphError
 from pcgraph.graph import GraphBuilder
+from pcgraph.leveller import level
 from pcgraph.numerics import fsum_arrays
 from pcgraph.pc import (
     PCState,
+    ZilSchedule,
     _with_values,
     energy,
     extract_updates,
@@ -21,8 +23,10 @@ from pcgraph.pc import (
     inference_step,
     init_state,
     relax,
+    run_schedule,
 )
 from pcgraph.report import divergence, make_report
+from pcgraph.zil import zil_ablate, zil_train_step
 
 
 def fig_one():
@@ -72,9 +76,20 @@ def test_init_rejects_leaf_output():
     pytest.param(1 + 0j, id="complex"),
 ])
 def test_init_rejects_a_non_finite_target(y):
+    """So does every run, given the value as its learning rate or as
+    its step size."""
     g, params = fig_one()
-    with pytest.raises(GraphError, match="finite"):
-        init_state(g, params, y=y)
+    lg, _report = level(g)
+    reads = {v: 1 for v in g.trainable_leaves()}
+    for run in (lambda: init_state(g, params, y=y),
+                lambda: il_train_step(g, params, 4.0, lr=y),
+                lambda: il_train_step(g, params, 4.0, gamma=y),
+                lambda: run_schedule(g, params, 4.0, 0.01,
+                                     ZilSchedule(y, reads), "il"),
+                lambda: zil_train_step(lg, params, 4.0, lr=y),
+                lambda: zil_ablate(lg, params, 4.0, lr=y)):
+        with pytest.raises(GraphError, match="finite"):
+            run()
 
 
 # -- dynamics -------------------------------------------------------------

@@ -90,7 +90,8 @@ def test_divergence_has_the_bits_of_a_per_component_sum_of_squares():
               rng.standard_normal(n)) for n in (1, 7, 10_000)]
     cases += [(special, np.zeros_like(special)),
               (special[:-1], special[::-1][1:]),
-              (np.array([-0.0, 5e-324]), np.array([0.0, -5e-324]))]
+              (np.array([-0.0, 5e-324]), np.array([0.0, -5e-324])),
+              (rng.standard_normal(5000), rng.standard_normal(5000))]
     for va, vb in cases:
         a = {("leaf", 0): va[:1].reshape(()), ("leaf", 1): va[1:]}
         b = {("leaf", 0): vb[:1].reshape(()), ("leaf", 1): vb[1:]}

@@ -13,7 +13,6 @@ arriving contributions — in particular under identity-vertex insertion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple
@@ -212,11 +211,13 @@ def loss_value(mu_out: Array, y: float) -> float:
     return 0.5 * diff * diff
 
 
-def _require_scalar_output(g: Graph, trace: ForwardTrace) -> Array:
-    out = trace.mu[g.output]
+def scalar_output(g: Graph, mu: Mapping[VertexId, Array]) -> Array:
+    """The output's forward value; :class:`ShapeMismatch` unless it is a
+    scalar, the one output the quadratic loss and the clamp take."""
+    out = mu[g.output]
     if out.shape != ():
-        raise ShapeMismatch(
-            f"output vertex must carry a scalar, got shape {out.shape}")
+        raise ShapeMismatch(f"the loss and the clamp need a scalar output "
+                            f"vertex, got shape {out.shape}")
     return out
 
 
@@ -237,7 +238,7 @@ def backprop(g: Graph, params: Mapping[VertexId, Array], y: float,
     check_real(y, "target y")
     check_real(lr, "learning rate lr")
     trace = forward(g, params)
-    mu_out = _require_scalar_output(g, trace)
+    mu_out = scalar_output(g, trace.mu)
     delta = reverse_sweep(g, trace.mu, mu_out - float(y),
                           lambda _vid, terms: fsum_arrays(terms))
     per_leaf = {v: -lr * delta[v] for v in g.trainable_leaves()}
@@ -285,7 +286,7 @@ def gradient_rows(g: Graph, params: Mapping[VertexId, Array], y: float,
     as a unit (all members together), so its numeric gradient is the sum
     of the member gradients — the same reduction the analytic side uses.
     """
-    if not (math.isfinite(h) and h > 0):
+    if not (is_finite_real(h) and h > 0):
         raise GraphError(
             f"finite-difference step must be finite and positive, got {h!r}")
     rep = backprop(g, params, y, lr=1.0)

@@ -33,7 +33,7 @@ import numpy as np
 from . import functions as fns
 from .errors import BadSpec
 from .graph import Graph, GraphBuilder, Vertex, VertexId
-from .numerics import Array, as_f64
+from .numerics import Array, as_f64, is_integer
 
 FAMILIES = ("mlp", "conv1d", "rnn", "residual", "attention", "sqrtsquare", "skipchain")
 
@@ -52,12 +52,14 @@ class ModelSpec:
         if self.family not in FAMILIES:
             raise BadSpec(f"unknown family {self.family!r}; "
                           f"choose one of {FAMILIES}")
-        if any(d <= 0 for d in self.dims):
-            raise BadSpec("dims must be positive")
+        if not (isinstance(self.dims, tuple)
+                and all(is_integer(d) and d > 0 for d in self.dims)):
+            raise BadSpec(f"dims must be a tuple of positive integers, "
+                          f"got {self.dims!r}")
         if self.activation not in fns.ACTIVATION_NAMES:
             raise BadSpec(f"unknown activation {self.activation!r}")
-        if self.seed < 0:
-            raise BadSpec(f"seed must be >= 0, got {self.seed}")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise BadSpec(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def default_dims(family: str) -> tuple[int, ...]:

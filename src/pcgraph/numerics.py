@@ -8,35 +8,32 @@ every such sum independent of traversal order, which is what lets the
 test suite demand *exact* equality of results before and after graph
 transformations that only re-route edges.
 
-Three algorithms compute these sums, and a correctly rounded sum is
-unique, so all give the same bits.
+Two algorithms compute these sums, and a correctly rounded sum is
+unique, so both give the same bits.
 
-- ``math.fsum`` (Shewchuk's partials) sums inputs of fewer than
-  :data:`_FSUM_BELOW` terms, among them every component of
-  :func:`fsum_arrays`.
-- A longer sum takes one certified extraction pass (Rump, Ogita & Oishi
-  2008, "Accurate floating-point summation part I: faithful rounding",
-  SIAM J. Sci. Comput. 31(1), section 3, *ExtractVector*).  With
-  sigma = 2**(e + M), where every |term| < 2**e and a block holds fewer
-  than 2**M terms, q = (sigma + p) - sigma and p - q split each term
-  without error, and a block's q sum is exact in any order.  NumPy sums
-  each block's q and p - q; ``math.fsum`` rounds the block sums once to
-  r.  The p - q sums carry a rounding error of at most
-  gamma(B - 1) * n * 2**-53 * sigma over n terms in blocks of B, and r
-  is returned only where the block sums moved by that bound either way
-  still round to r: rounding is monotone, so the exact sum rounds to r.
-- Everywhere else (an inf or a nan, a term too large for sigma, or a
-  sum the pass cannot certify) a small superaccumulator decides (Neal
-  2015, "Fast exact summation using small and large
-  superaccumulators"): each double is an integer mantissa times a power
-  of two, NumPy sums the mantissas' halves per exponent exactly, a block
-  at a time, and Python integers combine the per-exponent sums and
-  round once.
+- A sum of :data:`_FSUM_BELOW` terms or more first takes one certified
+  extraction pass (Rump, Ogita & Oishi 2008, "Accurate floating-point
+  summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1),
+  section 3, *ExtractVector*).  With sigma = 2**(e + M), where every
+  |term| < 2**e and a block holds fewer than 2**M terms,
+  q = (sigma + p) - sigma and p - q split each term without error, and
+  a block's q sum is exact in any order.  NumPy sums each block's q and
+  p - q; ``math.fsum`` rounds the block sums once to r.  The p - q sums
+  carry a rounding error of at most gamma(B - 1) * n * 2**-53 * sigma
+  over n terms in blocks of B, and r is returned only where the block
+  sums moved by that bound either way still round to r: rounding is
+  monotone, so the exact sum rounds to r.
+- Every other sum (a shorter one, among them every component of
+  :func:`fsum_arrays`, and one the pass cannot certify: an inf or a
+  nan, a term too large for sigma, an overflow, or a sum too near a
+  rounding boundary) is ``math.fsum``'s (Shewchuk 1997, "Adaptive precision
+  floating-point arithmetic and fast robust geometric predicates",
+  Discrete Comput. Geom. 18).
 
-The algorithms differ only where ``math.fsum``'s partials overflow
-although the exact sum does not; there the exact sum decides, so an
-exact sum raises ``OverflowError`` only when the exact sum itself is
-beyond the float range.
+``math.fsum``'s partials can overflow although the exact sum does not.
+There, as a last resort, Python integers add the terms in units of
+2**-1074 and round once, so an exact sum raises ``OverflowError`` only
+when the exact sum itself is beyond the float range.
 """
 
 from __future__ import annotations
@@ -54,9 +51,6 @@ Array = np.ndarray
 _FSUM_BELOW = 2048  # shorter sums go to math.fsum, which is faster there
 _SPLIT = 8192       # B: terms per extraction block, two B-sized buffers
 _SPLIT_BITS = 14    # M: B < 2**M keeps a block's q sum exact
-_BLOCK = 4096       # terms per superaccumulator pass: bounds its buffers
-_RUN = 1 << 26      # terms whose per-exponent float64 sums stay exact
-_HALF = (1 << 26) - 1
 _ULP = 1 << 1074    # every double is an integer multiple of 2**-1074
 _OVERFLOW = "intermediate overflow in fsum"  # math.fsum's own message
 
@@ -97,63 +91,6 @@ def _squares(values: Array) -> Array:
     """Elementwise squares; one that overflows is inf, as in Python."""
     with np.errstate(over="ignore"):
         return values * values
-
-
-def _grown(total: Array, part: Array) -> Array:
-    """``total + part`` for per-bucket sums of different lengths."""
-    if total.size < part.size:
-        part[:total.size] += total
-        return part
-    total[:part.size] += part
-    return total
-
-
-def _superaccumulate(values: Array, square: bool) -> int | None:
-    """The exact sum of at most ``_RUN`` float64 values (or of their
-    squares) in units of 2**-1074, or None if one is inf or nan.
-
-    The top 12 bits of a double (sign and biased exponent e) are its
-    bucket; its 52 stored mantissa bits split into two 26-bit halves,
-    and for e > 0 the implicit bit is counted.  ``np.bincount`` sums
-    each half per bucket in float64, exactly: no sum reaches 2**53.
-    A block at a time goes through at most three block-sized buffers,
-    so no temporary grows with the input.
-    """
-    size = min(_BLOCK, values.size)
-    squares = np.empty(size) if square else None
-    keys = np.empty(size, dtype=np.uint64)
-    halves = np.empty(size, dtype=np.uint64)
-    counts = np.zeros(0, dtype=np.int64)
-    low = np.zeros(0)
-    high = np.zeros(0)
-    for start in range(0, values.size, _BLOCK):
-        block = values[start:start + _BLOCK]
-        n = block.size
-        if square:
-            with np.errstate(over="ignore"):
-                block = np.multiply(block, block, out=squares[:n])
-        bits = block.view(np.uint64)
-        key = np.right_shift(bits, 52, out=keys[:n]).view(np.int64)
-        half = halves[:n]
-        counts = _grown(counts, np.bincount(key))
-        np.bitwise_and(bits, _HALF, out=half)
-        low = _grown(low, np.bincount(key, half))
-        np.right_shift(bits, 26, out=half)
-        np.bitwise_and(half, _HALF, out=half)
-        high = _grown(high, np.bincount(key, half))
-    if counts[0x7FF::0x800].any():  # biased exponent 2047: inf or nan
-        return None
-    total = 0
-    nonzero = np.flatnonzero(counts)
-    for key, count, lo, hi in zip(nonzero.tolist(), counts[nonzero].tolist(),
-                                  low[nonzero].tolist(),
-                                  high[nonzero].tolist()):
-        exponent = key & 0x7FF
-        part = (int(hi) << 26) + int(lo)
-        if exponent:  # a normal number: implicit bit, scaled by 2**(e-1)
-            part = (part + (count << 52)) << (exponent - 1)
-        total += -part if key >> 11 else part
-    return total
 
 
 def _extracted_sum(values: Array, square: bool) -> float | None:
@@ -198,38 +135,43 @@ def _extracted_sum(values: Array, square: bool) -> float | None:
     return None
 
 
+def _fsum(terms: Array) -> float:
+    """``math.fsum`` of a flat float64 array; where its partials overflow
+    although every term is finite, the exact sum decides: each term is
+    an integer number of units 2**-1074, and Python integers add them
+    and round once."""
+    listed = terms.tolist()
+    try:
+        return math.fsum(listed)
+    except OverflowError:
+        if not np.isfinite(terms).all():
+            raise
+    total = 0
+    for term in listed:
+        n, d = term.as_integer_ratio()  # d = 2**k with k <= 1074
+        total += n << (1075 - d.bit_length())  # n * 2**(1074 - k)
+    try:
+        return total / _ULP  # int true division rounds correctly
+    except OverflowError:
+        raise OverflowError(_OVERFLOW) from None
+
+
 def _exact_sum(values: Array, square: bool = False) -> float:
     """``math.fsum`` of a flat float64 array, or of its squares, by bits.
 
-    Below ``_FSUM_BELOW`` terms ``math.fsum`` sums; a longer sum takes
-    :func:`_extracted_sum` where that certifies its result, and else
-    the superaccumulator, which is exact on any input.
+    A sum of ``_FSUM_BELOW`` terms or more takes :func:`_extracted_sum`
+    where that certifies its result; every other sum is :func:`_fsum`'s.
 
     Raises ``OverflowError`` (with ``math.fsum``'s message) only when
     the exact sum is beyond the float range.  A sum with an inf or a nan
     among its terms is ``math.fsum``'s: inf stays inf, and inf - inf
     raises ``ValueError``.
     """
-    if values.size < _FSUM_BELOW:
-        terms = _squares(values) if square else values
-        try:
-            return math.fsum(terms.tolist())
-        except OverflowError:
-            if not np.isfinite(terms).all():
-                raise
-            # math.fsum's partials overflowed: let the exact sum decide
-    elif (certified := _extracted_sum(values, square)) is not None:
-        return certified
-    total = 0
-    for start in range(0, values.size, _RUN):
-        part = _superaccumulate(values[start:start + _RUN], square)
-        if part is None:
-            return math.fsum((_squares(values) if square else values).tolist())
-        total += part
-    try:
-        return total / _ULP  # int true division rounds correctly
-    except OverflowError:
-        raise OverflowError(_OVERFLOW) from None
+    if values.size >= _FSUM_BELOW:
+        certified = _extracted_sum(values, square)
+        if certified is not None:
+            return certified
+    return _fsum(_squares(values) if square else values)
 
 
 def exact_sum(values: Array | Sequence[float]) -> float:

@@ -41,7 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from .autodiff import (arriving, check_real, evaluate, forward, pull_back,
-                       pull_onto, reverse_sweep)
+                       pull_onto, reverse_sweep, scalar_output)
 from .errors import DomainError, GraphError, NonFiniteSum, NotLevelled
 from .functions import KINDS
 from .graph import GROUP_MIN, Graph, VertexId, level_structure, step_structure
@@ -90,6 +90,10 @@ class ZilSchedule:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (isinstance(self.update_times, Mapping)
+                and all(map(is_integer, self.update_times))):
+            raise GraphError(f"read times must map integer leaf ids to "
+                             f"steps, got {self.update_times!r}")
         for v, when in self.update_times.items():
             if not is_integer(when) or when < 0:
                 raise GraphError(f"read time of leaf {v} must be an "
@@ -123,8 +127,7 @@ def _start(g: Graph, params: Mapping[VertexId, Array],
     if g.vertices[g.output].is_leaf:
         raise GraphError("predictive-coding state needs a non-leaf output")
     mu = forward(g, params).mu
-    if mu[g.output].shape != ():
-        raise GraphError("clamping needs a scalar output vertex")
+    scalar_output(g, mu)
     return mu
 
 

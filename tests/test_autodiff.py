@@ -218,8 +218,9 @@ def test_grad_check_zoo_families():
 
 def test_grad_check_rejects_bad_step():
     g, params = nested_root_graph()
-    with pytest.raises(GraphError):
-        gradient_rows(g, params, y=4.0, h=0.0)
+    for h in (0.0, True, "a", None):
+        with pytest.raises(GraphError, match="finite-difference step"):
+            gradient_rows(g, params, y=4.0, h=h)
 
 
 # -- exactness invariants -------------------------------------------------

@@ -31,6 +31,12 @@ def test_spec_validation():
         models.ModelSpec("mlp", (4, 8, 1), "softplus")
     with pytest.raises(BadSpec, match="seed"):
         models.ModelSpec("mlp", (4, 8, 1), "tanh", -1)
+    for dims in ((4.5, 2), ("a", 2), (True, 1), 4, None, "48"):
+        with pytest.raises(BadSpec, match="dims"):
+            models.ModelSpec("mlp", dims)
+    for seed in ("0", 1.5):
+        with pytest.raises(BadSpec, match="seed"):
+            models.ModelSpec("mlp", (4, 8, 1), "tanh", seed)
     with pytest.raises(BadSpec):
         models.build_model(models.ModelSpec("mlp", (4,)))
     with pytest.raises(BadSpec):

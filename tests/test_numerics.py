@@ -126,11 +126,12 @@ def test_as_f64_casts_and_preserves():
 
 # -- the exact-sum kernel ---------------------------------------------------
 
-# Lengths on both sides of the math.fsum crossover and of the block size.
+# Lengths on both sides of the math.fsum crossover and of the extraction
+# pass's block size.
 LENGTHS = sorted({0, 1, 2, 7, numerics._FSUM_BELOW - 1, numerics._FSUM_BELOW,
-                  numerics._FSUM_BELOW + 1, numerics._BLOCK - 1,
-                  numerics._BLOCK, numerics._BLOCK + 1,
-                  2 * numerics._BLOCK + 3})
+                  numerics._FSUM_BELOW + 1, 4095, 4096, 4097,
+                  numerics._SPLIT - 1, numerics._SPLIT, numerics._SPLIT + 1,
+                  8195})
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
          -2.225073858507201e-308, 1e-310, 2.0 ** 1023, -(2.0 ** 1023),
          1.7976931348623157e308, -1.7976931348623157e308, 2.0 ** 970,
@@ -184,7 +185,7 @@ def long_vectors(draw):
 @given(long_vectors())
 def test_the_kernel_has_math_fsum_bits(values):
     """Exact sums, and sums of squares, have math.fsum's bits and raise
-    where it raises, whether math.fsum or the superaccumulator sums them."""
+    where it raises, whether math.fsum or the extraction pass sums them."""
     with np.errstate(over="ignore", invalid="ignore"):
         squares = (values * values).tolist()
     want = _reference(values.tolist())
@@ -209,7 +210,7 @@ def test_the_kernel_sums_every_binade_exactly(exponent):
     up, so that no term is too small to change the rounded sum; the
     lowest binades hold the subnormals and the smallest normals."""
     rng = np.random.default_rng(exponent)
-    n = 2 * numerics._BLOCK + 1
+    n = 8193
     bits = ((rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
             | ((exponent + rng.integers(0, 4, n, dtype=np.uint64))
                << np.uint64(52))
@@ -227,9 +228,15 @@ def test_the_exact_sum_decides_where_fsum_partials_overflow():
     assert exact_sum(big[::-1]) == 1e308
     with pytest.raises(OverflowError, match="intermediate overflow"):
         exact_sum([1e308, 1e308])
-    long = np.tile([1e308, -1e308], numerics._BLOCK)
+    long = np.tile([1e308, -1e308], 4096)
     long[0] = 1.5e308
     assert exact_sum(long) == 0.5e308
+    halves = np.repeat([1e308, -1e308], 1024)
+    halves[0] = 1.5e308
+    with pytest.raises(OverflowError):
+        math.fsum(halves.tolist())
+    assert exact_sum(halves) == 5e307
+    assert exact_sum(halves[::-1]) == 5e307
     long[1] = 1.5e308
     with pytest.raises(OverflowError, match="intermediate overflow"):
         exact_sum(long)
@@ -248,23 +255,14 @@ def test_l2_norm_holds_no_input_sized_temporary():
     assert peak < values.nbytes / 4, peak
 
 
-def _accumulated(values, square):
-    """The superaccumulator's sum, rounded once, as bytes; math.fsum's
-    where an inf or a nan stops it."""
-    total = numerics._superaccumulate(values, square)
-    if total is None:
-        return _reference((values * values if square else values).tolist())
-    return struct.pack("<d", total / numerics._ULP)
-
-
-def test_a_long_sum_is_certified_without_the_superaccumulator():
+def test_a_long_sum_is_certified_without_the_fallback():
     # A block's q sum is exact only with fewer than 2**M terms.
     assert numerics._SPLIT < 2 ** numerics._SPLIT_BITS
     values = np.random.default_rng(0).standard_normal(100_000)
-    with mock.patch.object(numerics, "_superaccumulate",
+    with mock.patch.object(numerics, "_fsum",
                            side_effect=AssertionError("not certified")):
         got = [exact_sum(values), sum_of_squares(values)]
-    want = [_accumulated(values, False), _accumulated(values, True)]
+    want = [_reference(values.tolist()), _reference((values * values).tolist())]
     assert [struct.pack("<d", v) for v in got] == want
 
 
@@ -278,7 +276,7 @@ _NORMAL = np.random.default_rng(1).standard_normal(3000)
 @pytest.mark.parametrize("values, square", [
     pytest.param(_padded(2.0 ** 53, 1.0), False, id="midpoint"),
     pytest.param(_padded(2.0 ** 27, 1.0, 1.0), True, id="midpoint-of-squares"),
-    pytest.param(np.tile([1e308, -1e308], numerics._BLOCK), False,
+    pytest.param(np.tile([1e308, -1e308], 4096), False,
                  id="near-overflow"),
     pytest.param(np.concatenate([_NORMAL, -_NORMAL, [1e-30]]), False,
                  id="cancellation"),
@@ -286,10 +284,9 @@ _NORMAL = np.random.default_rng(1).standard_normal(3000)
     pytest.param(np.append(_NORMAL, -math.inf), False, id="-inf"),
     pytest.param(np.append(_NORMAL, math.nan), False, id="nan"),
 ])
-def test_an_uncertified_sum_falls_back_to_the_superaccumulator(values, square):
-    want = _accumulated(values, square)
-    with mock.patch.object(numerics, "_superaccumulate",
-                           wraps=numerics._superaccumulate) as spy:
+def test_an_uncertified_sum_falls_back_to_fsum(values, square):
+    want = _reference((values * values if square else values).tolist())
+    with mock.patch.object(numerics, "_fsum", wraps=numerics._fsum) as spy:
         got = sum_of_squares(values) if square else exact_sum(values)
     assert spy.call_count == 1
     assert struct.pack("<d", got) == want

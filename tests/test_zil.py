@@ -76,6 +76,12 @@ def test_a_read_time_that_is_no_step_is_a_graph_error(when):
         ZilSchedule(1.0, {1: when, 2: 0})
 
 
+@pytest.mark.parametrize("times", [None, [1, 2], {"a": 0}, {1: 0, "a": 0}])
+def test_read_times_that_map_no_leaf_ids_are_a_graph_error(times):
+    with pytest.raises(GraphError, match="must map integer leaf ids"):
+        ZilSchedule(1.0, times)
+
+
 def test_level_schedule_requires_levelled_graph():
     g, _params = skip_product()
     with pytest.raises(NotLevelled):

@@ -45,6 +45,10 @@ class BPReport:
     holds the canonical per-parameter deltas (tie groups summed over
     members); ``per_leaf`` keeps each trainable leaf's own delta so tied
     structures can be compared member-wise.
+
+    Every array of rank 1 or more in ``per_leaf`` and ``updates`` is
+    read-only, and a free leaf's entry in ``updates`` is its
+    ``per_leaf`` array itself, not a copy.
     """
 
     delta: dict[VertexId, Array]
@@ -150,15 +154,34 @@ def sweep_plan(g: Graph) -> SweepPlan:
     return g._sweep
 
 
+def _leaf_sum(pulls: list[Array]) -> Array:
+    """A trainable leaf's signal: the sum of its arriving ``pulls``
+    (:func:`fsum_arrays`), which the caller alone holds (see
+    :class:`functions.KindRule`).  One pull of rank 1 or more takes its
+    ``+ 0.0`` in place, so the signal is that pull's own array."""
+    if len(pulls) == 1 and pulls[0].ndim:
+        return np.add(pulls[0], 0.0, out=pulls[0])
+    return fsum_arrays(pulls)
+
+
+def _read_only(arrays: Mapping[object, Array]) -> None:
+    """Mark every array of rank 1 or more among ``arrays`` read-only;
+    a 0-d delta stays as it is."""
+    for a in arrays.values():
+        if a.ndim:
+            a.flags.writeable = False
+
+
 def reverse_sweep(g: Graph, values: Mapping[VertexId, Array], seed: Array,
                   settle: Callable[[VertexId, list[Array]], Array]
                   ) -> dict[VertexId, Array]:
     """Every vertex's signal, in ``g.order`` from ``seed`` at the output.
 
-    A trainable leaf's signal is the sum of its arriving pulls, an
-    internal vertex's is ``settle(vid, terms)``; each vertex with
-    children is then pulled back once through ``values``, onto the
-    slots of its children that get a signal.  A data leaf gets none.
+    A trainable leaf's signal is the sum of its arriving pulls
+    (:func:`_leaf_sum`), an internal vertex's is ``settle(vid,
+    terms)``; each vertex with children is then pulled back once
+    through ``values``, onto the slots of its children that get a
+    signal.  A data leaf gets none.
     Backprop and the Z-IL wavefront engine are this walk with different
     settle rules.  It follows :func:`sweep_plan`: each pull lands where
     its child reads it, and nothing is looked up by parent.
@@ -168,7 +191,7 @@ def reverse_sweep(g: Graph, values: Mapping[VertexId, Array], seed: Array,
     arrivals: list = [None] * plan.arrivals
     for vid, fn, kids, slots, lands, span in plan.reverse:
         if fn is None:  # a trainable leaf
-            signal[vid] = fsum_arrays(arrivals[span])
+            signal[vid] = _leaf_sum(arrivals[span])
             continue
         up = signal[vid] = seed if vid == g.output else settle(
             vid, arrivals[span])
@@ -233,7 +256,9 @@ def backprop(g: Graph, params: Mapping[VertexId, Array], y: float,
     """One reverse pass: error signals for all vertices, updates for leaves.
 
     delta(output) = mu_out - y; every other vertex accumulates its
-    parents' pulled-back signals.  Leaf update: -lr * delta(leaf).
+    parents' pulled-back signals.  Leaf update: -lr * delta(leaf), a
+    new array, since ``delta`` keeps the signal; it is read-only and
+    shared by ``per_leaf`` and ``updates``.
     """
     check_real(y, "target y")
     check_real(lr, "learning rate lr")
@@ -242,7 +267,9 @@ def backprop(g: Graph, params: Mapping[VertexId, Array], y: float,
     delta = reverse_sweep(g, trace.mu, mu_out - float(y),
                           lambda _vid, terms: fsum_arrays(terms))
     per_leaf = {v: -lr * delta[v] for v in g.trainable_leaves()}
+    _read_only(per_leaf)
     updates = collect_updates(g, per_leaf)
+    _read_only(updates)
     return BPReport(delta=delta, updates=updates, per_leaf=per_leaf,
                     loss=loss_value(mu_out, y))
 
@@ -251,7 +278,10 @@ def collect_updates(g: Graph, per_leaf: Mapping[VertexId, Array]) -> dict[ParamK
     """Fold per-leaf deltas into the canonical parameter order.
 
     Tie groups report one entry: the order-independent sum of their
-    members' deltas.
+    members' deltas, a new array.  A free leaf's entry is its delta
+    itself where that is a read-only float64 array, as every engine
+    run hands out, and else a copy, so a caller's writable delta is
+    never shared.
     """
     out: dict[ParamKey, Array] = {}
     for key in g.param_keys:
@@ -260,7 +290,8 @@ def collect_updates(g: Graph, per_leaf: Mapping[VertexId, Array]) -> dict[ParamK
             members = sorted(g.group_by_id[ident].members)
             out[key] = fsum_arrays([per_leaf[m] for m in members])
         else:
-            out[key] = as_f64(per_leaf[ident]).copy()
+            delta = as_f64(per_leaf[ident])
+            out[key] = delta if not delta.flags.writeable else delta.copy()
     return out
 
 

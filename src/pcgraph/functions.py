@@ -154,7 +154,11 @@ class KindRule(NamedTuple):
     Neither ``forward`` nor ``vjp`` returns an array that shares memory
     with an input or with ``upstream`` (so ``identity`` and ``add``
     copy): the step engine hands them views of buffers that it writes
-    in place later, and keeps what they return.
+    in place later, and keeps what they return.  Each requested slot's
+    pull is its own array, shared with no other slot's either (so
+    ``add`` copies once per slot): a trainable leaf that gets one pull
+    takes it as its signal and writes its ``+ 0.0`` and its learning
+    rate into it in place.
     """
 
     arity: int | None

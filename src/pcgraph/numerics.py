@@ -225,8 +225,11 @@ def fsum_arrays(terms: Sequence[Array]) -> Array:
 
     One or two terms take one array addition, which is already correctly
     rounded; ``+ 0.0`` turns a -0.0 sum into 0.0 as ``math.fsum`` does.
-    A non-finite two-term result falls back to the per-component loop,
-    where an exact sum beyond the float range and inf - inf raise
+    More terms, and a non-finite two-term result, take ``math.fsum``
+    once per column of one list of columns; a correctly rounded sum has
+    one value, so these are :func:`exact_sum`'s bits.  Only where that
+    raises does the per-component loop of :func:`exact_sum` run, where
+    an exact sum beyond the float range and inf - inf raise
     :class:`NonFiniteSum`.
     """
     if not terms:
@@ -240,14 +243,12 @@ def fsum_arrays(terms: Sequence[Array]) -> Array:
             out = as_f64((first + second) + 0.0)
             if np.isfinite(out).all():
                 return out
-    stacked = np.stack([as_f64(t) for t in terms])
+    flat = np.stack([as_f64(t) for t in terms]).reshape(len(terms), -1)
     try:
-        if stacked.ndim == 1:  # 0-d inputs
-            return as_f64(_exact_sum(stacked))
-        flat = stacked.reshape(len(terms), -1)
-        out = np.empty(flat.shape[1], dtype=np.float64)
-        for i in range(flat.shape[1]):
-            out[i] = _exact_sum(flat[:, i])
+        try:
+            out = np.array([math.fsum(column) for column in flat.T.tolist()])
+        except (OverflowError, ValueError):
+            out = np.array([_exact_sum(column) for column in flat.T])
     except (OverflowError, ValueError) as exc:
         raise NonFiniteSum(f"exact sum failed: {exc}") from None
     return out.reshape(first.shape)

@@ -40,8 +40,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .autodiff import (arriving, check_real, evaluate, forward, pull_back,
-                       pull_onto, reverse_sweep, scalar_output)
+from .autodiff import (_leaf_sum, _read_only, arriving, check_real,
+                       evaluate, forward, pull_back, pull_onto,
+                       reverse_sweep, scalar_output)
 from .errors import DomainError, GraphError, NonFiniteSum, NotLevelled
 from .functions import KINDS
 from .graph import GROUP_MIN, Graph, VertexId, level_structure, step_structure
@@ -206,14 +207,22 @@ def extract_updates(state: PCState, g: Graph, lr: float,
 
     delta_zeta_i = lr * sum_{j in parents(i)} eps_j * dmu_j/dzeta_i.
     Each parent of a wanted leaf is pulled back once, onto the slots
-    that hold wanted leaves.
+    that hold wanted leaves; a delta of rank 1 or more is scaled by
+    ``lr`` in place, in the array of its sum (:func:`_scaled`).
     """
     for vid in only:
         if not g.parents[vid]:
             raise GraphError(f"leaf {vid} has no parents to read errors from")
     values = {**state.params, **state.x}  # what every vertex presents
     pulls = pull_onto(g, only, values, state.eps)
-    return {vid: lr * fsum_arrays(arriving(g, vid, pulls)) for vid in only}
+    return {vid: _scaled(lr, _leaf_sum(arriving(g, vid, pulls)))
+            for vid in only}
+
+
+def _scaled(lr: float, signal: Array) -> Array:
+    """``lr * signal``, written into ``signal`` where it has rank 1 or
+    more: the caller keeps no unscaled signal."""
+    return np.multiply(signal, lr, out=signal) if signal.ndim else lr * signal
 
 
 class _Group:
@@ -544,6 +553,9 @@ class ZilTrace:
     region only: the internal vertices at level >= t when every leaf is
     read at level(leaf) - 1 on a levelled graph, else every internal
     vertex.  Arrays that did not change are shared between snapshots.
+    ``updates`` holds the per-leaf deltas; each of rank 1 or more is
+    read-only and is the very array of its free leaf's entry in the
+    run's report.
     """
 
     snapshots: tuple[PCState, ...]
@@ -568,6 +580,9 @@ def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
     vertices at level >= t, which is closed under the rule (level k is
     updated from levels k - 1, k and k + 1) and holds all that the reads
     and the checks of :mod:`.zil` use.
+
+    Every delta of rank 1 or more in the trace and the report is
+    read-only, and the two share each free leaf's array.
     """
     check_real(lr, "learning rate lr")
     at_levels = _reads_at_levels(g, schedule)
@@ -584,7 +599,9 @@ def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
         cone = level_structure(g).buckets if at_levels else None
         per_leaf, snapshots = relax_schedule(g, state, lr, schedule, cone,
                                              record_trace)
+    _read_only(per_leaf)
     report = make_report(g, label, per_leaf)
+    _read_only(report.updates)
     return report, ZilTrace(snapshots, per_leaf, schedule)
 
 
@@ -639,7 +656,7 @@ def _wavefront(g: Graph, mu: dict[VertexId, Array], y: float, lr: float,
         return relax(x, eps, terms, gamma) - x
 
     signal = reverse_sweep(g, mu, as_f64(float(y)) - mu[g.output], settle)
-    return {v: lr * signal[v] for v in g.trainable_leaves()}
+    return {v: _scaled(lr, signal[v]) for v in g.trainable_leaves()}
 
 
 def _plain(a: Array) -> bool:

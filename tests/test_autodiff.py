@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pcgraph import functions as fns
 from pcgraph import models
 from pcgraph.autodiff import (
+    _leaf_sum,
     backprop,
     collect_updates,
     forward,
@@ -19,6 +20,8 @@ from pcgraph.errors import DomainError, GraphError, ShapeMismatch
 from pcgraph.graph import GraphBuilder
 from pcgraph.leveller import level
 from pcgraph.numerics import fsum_arrays
+from pcgraph.pc import il_train_step
+from pcgraph.zil import ABLATIONS, zil_ablate, zil_train_step
 
 
 def nested_root_graph():
@@ -256,3 +259,50 @@ def test_collect_updates_orders_groups_before_free_leaves():
     rep = backprop(g, params, y=0.2)
     kinds = [k for k, _ in rep.updates]
     assert kinds == sorted(kinds, key=lambda k: 0 if k == "group" else 1)
+
+
+# -- ownership of the deltas a run hands out --------------------------------
+
+def test_one_pull_takes_its_plus_zero_in_place():
+    pull = np.array([-0.0, 1.5, -2.0])
+    out = _leaf_sum([pull])
+    assert out is pull
+    assert out.tobytes() == np.array([0.0, 1.5, -2.0]).tobytes()
+    scalar = np.float64(-0.0)  # a 0-d pull keeps fsum_arrays' own path
+    assert _leaf_sum([scalar]).tobytes() == np.float64(0.0).tobytes()
+
+
+def _returned_deltas(run, g, params, y):
+    """The delta mappings ``run`` hands out, and whether each free
+    leaf's report entry is the very array of the per-leaf mapping."""
+    if run == "bp":
+        rep = backprop(g, params, y, 0.1)
+        return rep.per_leaf, rep.updates, [rep.per_leaf, rep.updates]
+    if run in ("zil", "zil-traced"):
+        rep, trace = zil_train_step(g, params, y, 0.1,
+                                    record_trace=run == "zil-traced")
+        return trace.updates, rep.updates, [trace.updates, rep.updates]
+    rep = (il_train_step(g, params, y, 0.1, 0.1, 5) if run == "il"
+           else zil_ablate(g, params, y, 0.1, run))
+    return None, rep.updates, [rep.updates]
+
+
+@pytest.mark.parametrize("run", ["bp", "zil", "zil-traced", "il", *ABLATIONS])
+@pytest.mark.parametrize("family, dims", [("mlp", (4, 8, 1)),
+                                          ("rnn", (3, 3, 4))])
+def test_returned_deltas_are_read_only(run, family, dims):
+    """A run's per-leaf deltas and its report share each free leaf's
+    array, so each is read-only: a write into one would change the
+    other."""
+    g, params = models.build_model(models.ModelSpec(family, dims, "tanh", 0))
+    lg, _report = level(g)
+    per_leaf, updates, returned = _returned_deltas(run, lg, params, 0.5)
+    if per_leaf is not None:
+        for (kind, ident), delta in updates.items():
+            if kind == "leaf" and delta.ndim:
+                assert delta is per_leaf[ident]
+    arrays = [a for deltas in returned for a in deltas.values() if a.ndim]
+    assert arrays
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0

@@ -302,20 +302,24 @@ def _alias_cases():
 @pytest.mark.parametrize("fn, shapes, out_shape", _alias_cases())
 def test_kind_rules_return_arrays_that_share_no_memory(fn, shapes, out_shape):
     """The step engine hands the rules views of buffers it later writes
-    in place, and keeps what they return."""
+    in place, and keeps what they return; a leaf with one pull writes
+    into that pull, so one call's pulls share no memory either."""
     sizes = [math.prod(s) for s in (*shapes, out_shape)]
     buffer = np.linspace(0.5, 2.0, sum(sizes))
     ends = np.cumsum(sizes)
     views = [buffer[end - size:end].reshape(shape) for end, size, shape
              in zip(ends, sizes, (*shapes, out_shape))]
     *ins, upstream = views
-    results = [fn(ins), *fn.vjp(ins, upstream)]
+    pulls = [back for back in fn.vjp(ins, upstream) if back is not None]
+    results = [fn(ins), *pulls]
     for slot in range(fn.arity):
         results += fn.vjp(ins, upstream, [slot])
     for result in results:
         if result is not None:
             for view in views:
                 assert not np.shares_memory(result, view)
+    for i, j in itertools.combinations(range(len(pulls)), 2):
+        assert not np.shares_memory(pulls[i], pulls[j])
 
 
 # -- batch rules ----------------------------------------------------------

@@ -348,3 +348,41 @@ def test_is_integer_is_an_int_but_not_a_bool():
     assert is_integer(3) and is_integer(-1) and is_integer(2 ** 70)
     for value in (True, False, 1.0, "1", None, np.float64(2.0)):
         assert not is_integer(value)
+
+
+# -- fsum_arrays' column pass -------------------------------------------------
+
+def _per_component(terms: list[np.ndarray]) -> np.ndarray:
+    """The exact sum of each component on its own: the column pass's
+    reference."""
+    flat = np.stack(terms).reshape(len(terms), -1)
+    return np.array([numerics._exact_sum(flat[:, i])
+                     for i in range(flat.shape[1])]).reshape(terms[0].shape)
+
+
+def _columns(*columns: list[float]) -> list[np.ndarray]:
+    """Equally long ``columns`` as terms: term i holds each column's i-th."""
+    return [np.array(row) for row in zip(*columns)]
+
+
+@pytest.mark.parametrize("terms", [
+    pytest.param(_columns([1.0, np.inf, 2.0], [0.5, 0.25, -1.0]), id="inf"),
+    pytest.param(_columns([1e308, 1e308, -1e308], [0.1, 0.2, 0.3],
+                          [1e308, -1e308, 1e308]), id="partials-overflow"),
+    pytest.param(_columns([-0.0] * 3, [-0.0] * 3), id="all-negative-zero"),
+    pytest.param([np.random.default_rng(0).normal(size=(2, 3)) * 10.0 ** k
+                  for k in np.random.default_rng(1).integers(-300, 300, 2048)],
+                 id="2048-terms"),
+])
+def test_fsum_arrays_column_pass_has_the_per_component_bits(terms):
+    got = fsum_arrays(terms)
+    assert got.shape == terms[0].shape
+    assert got.tobytes() == _per_component(terms).tobytes()
+
+
+def test_fsum_arrays_column_pass_raises_on_inf_minus_inf():
+    terms = _columns([1.0, 2.0, 3.0], [np.inf, 1.0, -np.inf])
+    with pytest.raises(ValueError):
+        numerics._exact_sum(np.array([np.inf, 1.0, -np.inf]))
+    with pytest.raises(NonFiniteSum, match="inf"):
+        fsum_arrays(terms)

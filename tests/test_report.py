@@ -75,6 +75,19 @@ def test_make_report_folds_tie_groups():
                           bp.updates[("group", "kernel0")])
 
 
+def test_make_report_shares_read_only_deltas_and_copies_writable_ones():
+    g, params = models.build_model(models.ModelSpec("mlp", (4, 8, 1), "tanh", 0))
+    bp = backprop(g, params, y=0.3, lr=0.1)
+    shared = make_report(g, "bp", bp.per_leaf)
+    mine = {v: np.array(delta) for v, delta in bp.per_leaf.items()}
+    copied = make_report(g, "mine", mine)
+    for key, delta in copied.updates.items():
+        v = key[1]
+        assert shared.updates[key] is bp.per_leaf[v]
+        assert delta.tobytes() == mine[v].tobytes()
+        assert not np.shares_memory(delta, mine[v])
+
+
 def test_divergence_has_the_bits_of_a_per_component_sum_of_squares():
     """The vector pass squares each difference with the same IEEE
     multiplication as a Python float, overflow to inf included."""

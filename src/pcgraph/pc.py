@@ -579,10 +579,8 @@ def run_schedule(g: Graph, params: Mapping[VertexId, Array], y: float,
     level(leaf) - 1 it keeps only the light cone, at step t the internal
     vertices at level >= t, which is closed under the rule (level k is
     updated from levels k - 1, k and k + 1) and holds all that the reads
-    and the checks of :mod:`.zil` use.
-
-    Every delta of rank 1 or more in the trace and the report is
-    read-only, and the two share each free leaf's array.
+    and the checks of :mod:`.zil` use.  The trace and the report share
+    each free leaf's delta, read-only (see :class:`ZilTrace`).
     """
     check_real(lr, "learning rate lr")
     at_levels = _reads_at_levels(g, schedule)

@@ -21,7 +21,12 @@ from .numerics import Array, l2_norm
 
 @dataclass(frozen=True)
 class UpdateReport:
-    """One algorithm's weight deltas for one training step."""
+    """One algorithm's weight deltas for one training step.
+
+    A run's report (IL, Z-IL, an ablation) holds read-only arrays of
+    rank 1 or more, each free leaf's the run's own per-leaf delta; one
+    that :func:`make_report` folds from writable deltas holds copies.
+    """
 
     algorithm: str
     updates: dict[ParamKey, Array]
@@ -37,7 +42,9 @@ class UpdateReport:
 
 def make_report(g: Graph, algorithm: str,
                 per_leaf: Mapping[VertexId, Array]) -> UpdateReport:
-    """Fold per-leaf deltas into a canonical report (tie groups summed)."""
+    """Fold per-leaf deltas into a canonical report (tie groups summed);
+    a read-only delta is shared, a writable one copied
+    (:func:`collect_updates`)."""
     return UpdateReport(algorithm, collect_updates(g, per_leaf))
 
 

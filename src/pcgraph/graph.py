@@ -77,28 +77,6 @@ class LevelStructure:
         return self.buckets[k] if 0 <= k <= self.max_level else ()
 
 
-@dataclass(frozen=True)
-class StepStructure:
-    """Where the arriving terms of a relaxation step come from.
-
-    ``single`` holds the internal vertices with one arriving term (one
-    (parent, slot) entry in ``parents``), ``several`` those with more,
-    both ascending; the output, with none, is in neither.  Per vertex
-    p, ``several_children[p]`` holds p's distinct children in
-    ``several``.  ``groups`` holds the classes of internal vertices
-    that apply one rule: the same function, of a kind with a batch form
-    (:class:`functions.Batch`), and the same pattern of internal and
-    leaf children, at least one of them internal.  Only classes of
-    :data:`GROUP_MIN` or more members are kept; the step engine splits
-    them further by value shape.
-    """
-
-    single: tuple[VertexId, ...]
-    several: tuple[VertexId, ...]
-    several_children: tuple[tuple[VertexId, ...], ...]
-    groups: tuple[frozenset[VertexId], ...]
-
-
 class Graph:
     """Validated, immutable computational graph.
 
@@ -110,9 +88,10 @@ class Graph:
     leaves, ``param_keys`` (see :func:`param_keys`) and ``group_by_id``.
     The level structure is computed on first use by
     :func:`level_structure` and kept, whether it is a partition or a
-    :class:`NotLevelled` outcome; so are the step structure, by
-    :func:`step_structure`, and the plan of the forward and reverse
-    sweeps, by :func:`autodiff.sweep_plan`.
+    :class:`NotLevelled` outcome; so is the plan of the forward and
+    reverse sweeps, by :func:`autodiff.sweep_plan`.  ``_steps`` keeps
+    the step engine's plan for the value shapes of its latest run
+    (:func:`pc._step_plan`), which a run with other shapes replaces.
     """
 
     def __init__(self, vertices: Sequence[Vertex], output: VertexId,
@@ -144,7 +123,7 @@ class Graph:
             *(("leaf", v) for v in self._trainable_leaves
               if v not in self.group_of))
         self._levels: LevelStructure | tuple | None = None  # see level_structure
-        self._steps: StepStructure | None = None  # see step_structure
+        self._steps = None  # see pc._step_plan
         self._sweep = None  # see autodiff.sweep_plan
 
     # -- accessors -------------------------------------------------------
@@ -331,36 +310,6 @@ def level_structure(g: Graph) -> LevelStructure:
     if isinstance(g._levels, tuple):
         raise NotLevelled(*g._levels)
     return g._levels
-
-
-# Fewest vertices that the step engine runs as one group.  A group call
-# costs about what three vertex calls cost (measured on levelled rnn and
-# the zoo-desk models), so a group of fewer than four can save nothing.
-GROUP_MIN = 4
-
-
-def step_structure(g: Graph) -> StepStructure:
-    """Who feeds whom in a relaxation step, and which vertices apply one
-    rule; computed once per graph."""
-    if g._steps is None:
-        single = tuple(v for v in g.internal_ids if len(g.parents[v]) == 1)
-        several = tuple(v for v in g.internal_ids if len(g.parents[v]) > 1)
-        many = set(several)
-        slots = g.internal_slots
-        classes: dict[tuple, list[VertexId]] = {}
-        for vid in g.internal_ids:
-            v = g.vertices[vid]
-            if slots[vid] and fns.KINDS[v.fn.kind].batch is not None:
-                pattern = tuple(g.vertices[c].is_leaf for c in v.children)
-                classes.setdefault((v.fn, pattern), []).append(vid)
-        g._steps = StepStructure(
-            single=single, several=several,
-            several_children=tuple(
-                tuple({v.children[s] for s in slots[v.id]} & many)
-                for v in g.vertices),
-            groups=tuple(frozenset(members) for members in classes.values()
-                         if len(members) >= GROUP_MIN))
-    return g._steps
 
 
 def param_keys(g: Graph) -> tuple[ParamKey, ...]:

@@ -36,7 +36,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -44,22 +44,20 @@ from .autodiff import (_leaf_sum, _read_only, arriving, check_real,
                        evaluate, forward, pull_back, pull_onto,
                        reverse_sweep, scalar_output)
 from .errors import DomainError, GraphError, NonFiniteSum, NotLevelled
-from .functions import KINDS
-from .graph import GROUP_MIN, Graph, VertexId, level_structure, step_structure
+from .functions import KINDS, Batch, ElemFn
+from .graph import Graph, VertexId, level_structure
 from .numerics import (Array, all_finite, as_f64, fsum_arrays,
                        is_finite_real, is_integer, sum_of_squares)
 from .report import UpdateReport, make_report
 
 
-# When the step engine runs a group in one call (measured on levelled
-# rnn(T,4,8) for T = 4..13 and on the zoo-desk models, in process): a
-# group call costs about three vertex calls, so it runs only where three
-# or more members are due; laying a group out in a run costs about ten
-# to fifteen, which a run with fewer than 16 steps left does not repay,
-# so such a run lays out no group (traced Z-IL and the ablations on
-# small graphs take 3-11 steps).
+# Fewest vertices that the step engine runs as one group, and fewest
+# due members for which it calls one.  A group call costs about what
+# three vertex calls cost (measured on levelled rnn(T,4,8) for T = 4..13
+# and on the zoo-desk models, in process), so it runs only where three
+# or more members are due, and a group of fewer than four saves nothing.
+GROUP_MIN = 4
 _MIN_DUE = 3
-_LAYOUT_STEPS = 16
 _NEG_ZERO = np.float64(-0.0).view(np.int64)  # -0.0's bits
 
 
@@ -225,108 +223,173 @@ def _scaled(lr: float, signal: Array) -> Array:
     return np.multiply(signal, lr, out=signal) if signal.ndim else lr * signal
 
 
-class _Group:
-    """Members of one group of :func:`step_structure` that share their
-    value shapes in a run, and where their values live in the buffers.
+class _Group(NamedTuple):
+    """Internal vertices that one batch call (:class:`functions.Batch`)
+    runs, and where their values live in the buffers of a step plan.
 
-    Members are ordered by the step at which they leave the region, the
-    last to leave first, so ``members[:live]`` is the region's part.
-    Per slot, ``ins`` holds whether the input is an internal vertex's
-    and either the index of each member's input in X or its leaf's
-    value; ``out`` holds the index of each member in MU and EPS, and
-    ``onto[s]`` that of its pull onto slot s in PULL.  Each is laid out
-    as the batch takes it (flat or stacked), so its first ``cut[j]``
-    rows belong to the first j members.
+    The members share a function of a kind with a batch form, the
+    pattern of internal and leaf children (at least one internal) and,
+    for a stacked batch, their children's value shapes; a 0-d member
+    only where the batch holds for it.  They are ordered by level,
+    highest first (by id on a graph that is not levelled), so the light
+    cone takes them out of the region from the end: a run keeps how
+    many are still in it, ``live``, and calls a group on
+    ``members[:live]``.  ``ins[s]`` holds the index of each member's
+    input in slot s in X, ``out`` that of each member in MU and EPS,
+    and ``onto[i]`` that of its pull onto ``slots[i]`` in PULL.  Each
+    index array is laid out as the batch takes it (flat or stacked) and
+    is read-only; its first ``cut[j]`` rows belong to the first j
+    members.
     """
 
-    def __init__(self, g: Graph, members: list[VertexId], live: int,
-                 state: PCState, span: dict[VertexId, slice],
-                 several: dict[tuple[VertexId, int], slice],
-                 positions: Array):
-        first = g.vertices[members[0]]
-        self.fn, self.batch = first.fn, KINDS[first.fn.kind].batch
-        self.slots = g.internal_slots[members[0]]
-        self.members, self.live = members, live
-        stack = self.batch.stack
+    fn: ElemFn
+    batch: Batch
+    members: tuple[VertexId, ...]
+    slots: tuple[int, ...]
+    ins: tuple[Array, ...]
+    out: Array
+    onto: tuple[Array, ...]
+    cut: tuple[int, ...]
 
-        def laid(parts: list[slice], shape: tuple[int, ...]) -> Array:
-            flat = np.concatenate([positions[p] for p in parts])
-            return flat.reshape(len(members), *shape) if stack else flat
-
-        kids = [g.vertices[m].children for m in members]
-        self.ins: list[tuple[bool, Array]] = []
-        for s, c in enumerate(first.children):
-            if g.vertices[c].is_leaf:
-                leaf = [state.params[k[s]] for k in kids]
-                self.ins.append((False, np.stack(leaf) if stack else
-                                 np.concatenate([np.ravel(v) for v in leaf])))
-            else:
-                self.ins.append((True, laid([span[k[s]] for k in kids],
-                                            state.x[c].shape)))
-        self.out = laid([span[m] for m in members], state.x[members[0]].shape)
-        self.onto = {s: laid([several.get((m, s), span[k[s]])
-                              for m, k in zip(members, kids)],
-                             state.x[first.children[s]].shape)
-                     for s in self.slots}
-        self.cut = list(range(len(members) + 1)) if stack else \
-            [0, *accumulate(state.x[m].size for m in members)]
-
-    def _inputs(self, X: Array, c: int) -> list[Array]:
-        return [X[at[:c]] if internal else at[:c]
-                for internal, at in self.ins]
-
-    def predict(self, X: Array, MU: Array) -> bool:
-        """Write the region members' predictions; False, writing none,
-        where one is not finite."""
-        c = self.cut[self.live]
-        mu = self.batch.forward(self.fn, self._inputs(X, c))
+    def predict(self, live: int, X: Array, MU: Array) -> bool:
+        """Write the first ``live`` members' predictions; False, writing
+        none, where one is not finite."""
+        c = self.cut[live]
+        mu = self.batch.forward(self.fn, [X[at[:c]] for at in self.ins])
         if not all_finite(mu):
             return False
         MU[self.out[:c]] = mu
         return True
 
-    def pull(self, X: Array, EPS: Array, PULL: Array) -> bool:
-        """Write the region members' pulls onto their internal slots;
-        False, writing none, where one is not finite."""
-        c = self.cut[self.live]
-        back = self.batch.vjp(self.fn, self._inputs(X, c), EPS[self.out[:c]],
-                              self.slots)
+    def pull(self, live: int, X: Array, EPS: Array, PULL: Array) -> bool:
+        """Write the first ``live`` members' pulls onto their internal
+        slots; False, writing none, where one is not finite."""
+        c = self.cut[live]
+        back = self.batch.vjp(self.fn, [X[at[:c]] for at in self.ins],
+                              EPS[self.out[:c]], self.slots)
         if not all(all_finite(back[s]) for s in self.slots):
             return False
-        for s in self.slots:
-            PULL[self.onto[s][:c]] = back[s]
+        for s, onto in zip(self.slots, self.onto):
+            PULL[onto[:c]] = back[s]
         return True
 
 
-def _split(g: Graph, members: frozenset[VertexId], state: PCState,
-           region: Mapping[VertexId, Array], span: dict[VertexId, slice],
-           several: dict[tuple[VertexId, int], slice],
-           cone: tuple[tuple[VertexId, ...], ...] | None,
-           positions: Array) -> list[_Group]:
-    """One group of :func:`step_structure` as the run's groups: split by
-    value shape (a stacked batch needs one shape per input; 0-d values
-    only where the batch holds for them), parts of :data:`GROUP_MIN`
-    or more members kept, members ordered by the step at which ``cone``
-    takes them out of the ``region``, last first."""
-    batch = KINDS[g.vertices[min(members)].fn.kind].batch
-    parts: dict[tuple, list[VertexId]] = {}
-    for m in sorted(members):
-        if not batch.scalars and state.x[m].ndim == 0:
-            continue
-        key = tuple(np.shape(state.params[c]) if c in state.params
-                    else state.x[c].shape
-                    for c in g.vertices[m].children) if batch.stack else ()
-        parts.setdefault(key, []).append(m)
-    gone = {} if cone is None else {v: t for t, vs in enumerate(cone)
-                                     for v in vs if v in members}
-    out = []
-    for part in parts.values():
-        if len(part) >= GROUP_MIN:
-            part.sort(key=lambda m: -gone.get(m, math.inf))
-            live = sum(m in region for m in part)
-            out.append(_Group(g, part, live, state, span, several,
-                              positions))
-    return out
+class _StepPlan(NamedTuple):
+    """Where the step engine keeps the values of a graph whose vertex v
+    holds values of shape ``shapes[v]`` (:func:`_step_plan`).
+
+    X, MU and EPS hold the internal vertices in ``order``: those with
+    one arriving term (one (parent, slot) entry in ``g.parents``), then
+    those with more (``several``), each ascending, then the output;
+    ``span[v]`` is v's part, and the first ``n_relaxed`` components are
+    those of the relaxed vertices, all but the output's.  X then holds
+    the leaves in ``fed``, which feed a group, so that a group gathers
+    all its inputs from X.  PULL, of ``n_pull`` components, holds the
+    pull arriving at each one-term vertex where its x sits, in its
+    first ``n_single``, then one per edge into a several-term vertex;
+    ``lands`` holds each edge into an internal vertex with its part of
+    PULL and its pull's shape.  ``several_children[p]`` holds p's
+    distinct internal children in ``several``.  ``relaxed`` holds the
+    relaxed vertices whose value has a component, and ``heads`` where
+    in X each starts; both are read-only.  ``groups`` are the
+    :class:`_Group` plans of :data:`GROUP_MIN` or more members, and
+    ``grouped`` their members.
+    """
+
+    shapes: tuple[tuple[int, ...], ...]
+    order: tuple[VertexId, ...]
+    fed: tuple[VertexId, ...]
+    span: dict[VertexId, slice]
+    n_single: int
+    n_relaxed: int
+    n_pull: int
+    lands: tuple[tuple[tuple[VertexId, int], slice, tuple[int, ...]], ...]
+    several: tuple[VertexId, ...]
+    several_children: tuple[tuple[VertexId, ...], ...]
+    relaxed: Array
+    heads: Array
+    groups: tuple[_Group, ...]
+    grouped: frozenset[VertexId]
+
+
+def _index(positions) -> Array:
+    """``positions`` as a read-only index array."""
+    index = np.array(positions, dtype=np.intp)
+    index.flags.writeable = False
+    return index
+
+
+def _step_plan(g: Graph, shapes: tuple[tuple[int, ...], ...]) -> _StepPlan:
+    """The step engine's plan for ``g`` with vertex v's value of shape
+    ``shapes[v]``; kept on the graph until a run with other shapes
+    replaces it."""
+    if g._steps is not None and g._steps.shapes == shapes:
+        return g._steps
+    vs, slots = g.vertices, g.internal_slots
+    try:
+        levels = level_structure(g).levels
+    except NotLevelled:
+        levels = {}
+    classes: dict[tuple, list[VertexId]] = {}
+    for vid in sorted(g.internal_ids, key=lambda v: -levels.get(v, 0)):
+        fn, kids = vs[vid].fn, vs[vid].children
+        batch = KINDS[fn.kind].batch
+        if slots[vid] and batch is not None and (batch.scalars
+                                                 or shapes[vid] != ()):
+            classes.setdefault((fn, tuple(vs[c].is_leaf for c in kids),
+                                tuple(shapes[c] for c in kids)
+                                if batch.stack else ()), []).append(vid)
+    kept = [members for members in classes.values()
+            if len(members) >= GROUP_MIN]
+    single = [v for v in g.internal_ids if len(g.parents[v]) == 1]
+    several = tuple(v for v in g.internal_ids if len(g.parents[v]) > 1)
+    order = (*single, *several, g.output)
+    fed = tuple(sorted({c for members in kept for m in members
+                        for c in vs[m].children if vs[c].is_leaf}))
+    sizes = [math.prod(shapes[v]) for v in (*order, *fed)]
+    span = {v: slice(end - size, end)
+            for v, size, end in zip((*order, *fed), sizes, accumulate(sizes))}
+    lands = [(g.parents[v][0], span[v], shapes[v]) for v in single]
+    end = n_single = span[order[len(single)]].start
+    for v in several:
+        size = span[v].stop - span[v].start
+        for edge in g.parents[v]:
+            lands.append((edge, slice(end, end + size), shapes[v]))
+            end += size
+    at = {edge: where for edge, where, _shape in lands}
+    positions = np.arange(max(sum(sizes), end))
+
+    def group(members: list[VertexId]) -> _Group:
+        first = vs[members[0]]
+        batch = KINDS[first.fn.kind].batch
+
+        def laid(parts: list[slice], shape: tuple[int, ...]) -> Array:
+            index = _index(np.concatenate([positions[p] for p in parts]))
+            return index.reshape(len(members), *shape) if batch.stack \
+                else index
+
+        return _Group(
+            first.fn, batch, tuple(members), slots[members[0]],
+            tuple(laid([span[vs[m].children[s]] for m in members], shapes[c])
+                  for s, c in enumerate(first.children)),
+            laid([span[m] for m in members], shapes[members[0]]),
+            tuple(laid([at[m, s] for m in members],
+                       shapes[first.children[s]])
+                  for s in slots[members[0]]),
+            tuple(range(len(members) + 1)) if batch.stack else
+            (0, *accumulate(math.prod(shapes[m]) for m in members)))
+
+    many = set(several)
+    relaxed = [v for v, size in zip(order[:-1], sizes) if size]
+    groups = tuple(map(group, kept))
+    g._steps = _StepPlan(
+        shapes, order, fed, span, n_single, span[g.output].start, end,
+        tuple(lands), several,
+        tuple(tuple({v.children[s] for s in slots[v.id]} & many)
+              for v in vs),
+        _index(relaxed), _index([span[v].start for v in relaxed]),
+        groups, frozenset().union(*(grp.members for grp in groups)))
+    return g._steps
 
 
 def relax_schedule(g: Graph, state: PCState, lr: float,
@@ -345,10 +408,9 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     a pull onto a leaf.
 
     The x, mu and eps of every internal vertex live in three flat
-    float64 buffers, in the order of :func:`step_structure` (one-term
-    vertices, then several-term ones, then the output), and a fourth
-    holds the pulls: the one arriving at each one-term vertex, where
-    its x sits, then one per edge into a several-term vertex.  The
+    float64 buffers, and a fourth holds the arriving pulls, laid out by
+    the graph's step plan for the run's value shapes (:func:`_step_plan`,
+    built on a graph's first run and reused while the shapes hold); the
     per-vertex values are reshaped views of them.  A step is a few
     whole-buffer operations: ``(pull - eps) + 0.0``, ``x + gamma *
     step``, the output and the vertices outside the region held at
@@ -364,18 +426,17 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     because between two NaN operands a scalar ``+`` keeps another NaN
     than an array one does.
 
-    After step 0, predictions and pulls run per group where that pays:
-    where three or more members of a group (:func:`_split`) are due,
-    one batch call (:class:`functions.Batch`) on rows gathered from the
-    buffers computes and writes every member still in the region.  A
-    member that was not due gets the bytes it holds, because the rule
-    is pure; one that has left the region keeps what it last held, as
-    it does when vertices run one by one, so the buffers hold the same
-    bytes either way.  Where a batch result is not finite, the due
-    members run per vertex; where a batch call raises a
-    ``DomainError``, the whole phase reruns per vertex in ascending id,
-    so the same vertex raises with the same message.  A group is laid
-    out on its first call, and only while 16 or more steps remain.
+    Predictions and pulls run per group of the plan where that pays:
+    where three or more members of a group are due, one batch call
+    (:class:`functions.Batch`) on rows gathered from the buffers
+    computes and writes every member still in the region.  A member
+    that was not due gets the bytes it holds, because the rule is pure;
+    one that has left the region keeps what it last held, as it does
+    when vertices run one by one, so the buffers hold the same bytes
+    either way.  Where a batch result is not finite, the due members
+    run per vertex; where a batch call raises a ``DomainError``, the
+    whole phase reruns per vertex in ascending id, so the same vertex
+    raises with the same message.
 
     With ``cone`` given, the vertices in ``cone[t]`` leave the region
     after step t's pulls; the caller vouches that no later step reads
@@ -385,23 +446,16 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     before and shares every other array with it, so no snapshot holds
     a view of a buffer.
     """
-    plan = step_structure(g)
-    order = (*plan.single, *plan.several, g.output)
-    sizes = [state.x[v].size for v in order]
-    span = {v: slice(end - size, end)
-            for v, size, end in zip(order, sizes, accumulate(sizes))}
-    X, MU, EPS = (np.concatenate([part[v] for v in order], axis=None)
-                  for part in (state.x, state.mu, state.eps))
-    n_single, n_relaxed = sum(sizes[:len(plan.single)]), span[g.output].start
-    # Where each pull lands: onto a one-term vertex where its x sits,
-    # onto a several-term vertex at its own place per edge after those.
-    several: dict[tuple[VertexId, int], slice] = {}
-    end = n_single
-    for v in plan.several:
-        for edge in g.parents[v]:
-            several[edge] = slice(end, end + state.x[v].size)
-            end += state.x[v].size
-    PULL = np.zeros(end)
+    values = {**state.params, **state.x}  # what every vertex presents
+    plan = _step_plan(g, tuple(values[v].shape for v in range(len(g))))
+    span, shapes, several = plan.span, plan.shapes, plan.several
+    X = np.concatenate([values[v] for v in (*plan.order, *plan.fed)],
+                       axis=None)
+    MU, EPS = (np.concatenate([part[v] for v in plan.order], axis=None)
+               for part in (state.mu, state.eps))
+    XI = X[:MU.size]  # the internal vertices' part
+    n_single, n_relaxed = plan.n_single, plan.n_relaxed
+    PULL = np.zeros(plan.n_pull)
     IN, STEP, NEW = PULL[:n_single], np.zeros(n_relaxed), np.empty(n_relaxed)
     XR = X[:n_relaxed]  # the output is never relaxed
     in_step, in_eps = STEP[:n_single], EPS[:n_single]
@@ -409,25 +463,18 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     differs = np.empty(n_relaxed, dtype=bool)
 
     def view(buf: Array, v: VertexId) -> Array:
-        return buf[span[v]].reshape(state.x[v].shape)
+        return buf[span[v]].reshape(shapes[v])
 
     x = {v: view(X, v) for v in state.x}  # the region, popped by the cone
     mu = {v: view(MU, v) for v in state.x}
     eps = {v: view(EPS, v) for v in state.x}
-    values = {**state.params, **x}  # what every vertex presents
-    into = {g.parents[v][0]: view(PULL, v) for v in plan.single}  # by edge
-    for (p, s), where in several.items():
-        into[p, s] = PULL[where].reshape(
-            state.x[g.vertices[p].children[s]].shape)
+    values.update(x)
+    into = {edge: PULL[where].reshape(shape)
+            for edge, where, shape in plan.lands}
     slots = g.internal_slots
-    sums = {v: view(STEP, v) for v in plan.several}
-    relaxed = [v for v, size in zip(order[:-1], sizes) if size]
-    heads = np.array([span[v].start for v in relaxed], dtype=np.intp)
-    relaxed = np.array(relaxed, dtype=np.intp)
+    sums = {v: view(STEP, v) for v in several}
     frozen = np.zeros(n_relaxed, dtype=bool)  # left the region
-    grouped = frozenset().union(*plan.groups)
-    lays = bool(grouped) and schedule.steps > _LAYOUT_STEPS  # may batch
-    made: dict[frozenset[VertexId], list[_Group]] = {}  # on first use
+    in_region = [len(grp.members) for grp in plan.groups]  # see _Group
     # The 0-d values the rule would hold as NumPy scalars: those that
     # start as one and those that moved (relax returns a scalar).
     scalars = {v for v, val in state.x.items() if isinstance(val, np.generic)}
@@ -437,23 +484,14 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     def batched(due: list[VertexId], call) -> list[VertexId]:
         """``call`` each group with enough ``due`` members; the due
         vertices left to run per vertex, ascending."""
-        if len(grouped.intersection(due)) < _MIN_DUE:
+        if len(plan.grouped.intersection(due)) < _MIN_DUE:
             return due
         done: set[VertexId] = set()
         try:
-            for members in plan.groups:
-                if len(members.intersection(due)) < _MIN_DUE:
-                    continue
-                if members not in made:
-                    if schedule.steps - t < _LAYOUT_STEPS:
-                        continue
-                    made[members] = _split(g, members, state, x, span,
-                                           several, cone,
-                                           np.arange(max(X.size, PULL.size)))
-                for grp in made[members]:
-                    hit = set(grp.members[:grp.live]).intersection(due)
-                    if len(hit) >= _MIN_DUE and call(grp):
-                        done |= hit
+            for grp, n in zip(plan.groups, in_region):
+                hit = set(grp.members[:n]).intersection(due)
+                if len(hit) >= _MIN_DUE and call(grp, n):
+                    done |= hit
         except DomainError:
             return due
         return [v for v in due if v not in done] if done else due
@@ -474,14 +512,9 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
         last = t == schedule.steps - 1
         if last and t > 0:
             break
-        if t == 0:  # every vertex, one by one: a layout pays only later
-            pulled = todo = sorted(p for p in changed
-                                   if g.vertices[p].children)
-        else:
-            pulled = sorted(p for p in changed if slots[p])
-            todo = batched(pulled, lambda grp: grp.pull(X, EPS, PULL)) \
-                if lays else pulled
-        for p in todo:
+        pulled = sorted(p for p in changed
+                        if slots[p] or not t and g.vertices[p].children)
+        for p in batched(pulled, lambda grp, n: grp.pull(n, X, EPS, PULL)):
             back = pull_back(g, p, values, eps[p], slots[p])
             for s in slots[p]:
                 into[p, s][...] = back[s]
@@ -489,19 +522,18 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
             break
         if cone is not None:
             for v in cone[t]:
+                if v in x and v != g.output:
+                    frozen[span[v]] = True
                 for region in (x, mu, eps, *shown):
                     region.pop(v, None)
-                if v in span and v != g.output:
-                    frozen[span[v]] = True
-            for grps in made.values():
-                for grp in grps:
-                    while grp.live and grp.members[grp.live - 1] not in x:
-                        grp.live -= 1
+            for i, grp in enumerate(plan.groups):
+                while in_region[i] and grp.members[in_region[i] - 1] not in x:
+                    in_region[i] -= 1
         np.subtract(IN, in_eps, out=in_step)
         np.add(in_step, 0.0, out=in_step)
         try:
-            if plan.several:
-                stale = changed.intersection(plan.several).union(
+            if several:
+                stale = changed.intersection(several).union(
                     *(plan.several_children[p] for p in pulled))
                 for v in sorted(stale.intersection(x)):
                     sums[v][...] = fsum_arrays(
@@ -526,23 +558,21 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
             np.copyto(NEW, XR, where=frozen)
         # Bytes, not values: a -0.0 that becomes 0.0 is a move.
         np.not_equal(new_bits, old_bits, out=differs)
-        moved = (relaxed[np.logical_or.reduceat(differs, heads)].tolist()
-                 if np.count_nonzero(differs) else [])
+        moved = (plan.relaxed[np.logical_or.reduceat(differs, plan.heads)]
+                 .tolist() if np.count_nonzero(differs) else [])
         np.copyto(XR, NEW)
         scalars.update(moved)
         evaluated = sorted({p for v in moved for p, _slot in g.parents[v]
                             if p in mu})
-        for v in batched(evaluated, lambda grp: grp.predict(X, MU)) \
-                if lays else evaluated:
+        for v in batched(evaluated, lambda grp, n: grp.predict(n, X, MU)):
             mu[v][...] = evaluate(g, v, values)
-        np.subtract(X, MU, out=EPS)
+        np.subtract(XI, MU, out=EPS)
         changed = set(moved).union(evaluated)
         for live, region, fresh in zip((x, mu, eps), shown,
                                        (moved, evaluated, changed)):
             for v in fresh:
                 region[v] = live[v].copy()
     return per_leaf, tuple(snapshots)
-
 
 @dataclass(frozen=True)
 class ZilTrace:

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from pcgraph.autodiff import arriving, pull_onto
+from pcgraph.functions import KINDS, ElemFn, FnKind
 from pcgraph.graph import Graph, level_structure
 from pcgraph.numerics import Array, as_f64, exact_sum, fsum_arrays, l2_norm
 from pcgraph.pc import ZilTrace
@@ -46,3 +47,30 @@ def angle_degrees(a: Array, b: Array) -> float:
         raise ValueError("angle undefined for zero vectors")
     cos = exact_sum(a * b) / (na * nb)
     return math.degrees(math.acos(max(-1.0, min(1.0, cos))))
+
+
+def holomorphic_forward(fn: ElemFn, ins: list[Array]) -> Array:
+    """``fn`` on complex inputs: the kind's own rule, except for the two
+    whose rule does not extend to complex values as the real function
+    does.  ``convolve1d``'s ``np.correlate`` conjugates its kernel, so
+    here the signal is convolved with the reversed kernel;
+    ``sum_reduce``'s ``ieee_sum`` drops the imaginary part, so here
+    ``np.sum`` adds."""
+    if fn.kind is FnKind.CONVOLVE1D:
+        kernel, signal = ins
+        return np.convolve(signal, kernel[::-1], mode="valid")
+    if fn.kind is FnKind.SUM_REDUCE:
+        return np.sum(ins[0])
+    return KINDS[fn.kind].forward(fn, ins)
+
+
+def complex_step_jvp(fn: ElemFn, ins: list[Array], directions: list[Array],
+                     h: float = 1e-200) -> Array:
+    """J v: the derivative of ``fn`` at ``ins`` along ``directions``
+    (one per input) by the complex step, Im f(x + i h v) / h.  No
+    difference of nearby values is taken, so for a tiny ``h`` it is
+    exact to within the rounding of f itself (Squire & Trapp 1998;
+    Martins, Sturdza & Alonso 2003), independently of any ``vjp``
+    rule."""
+    z = [x + 1j * h * v for x, v in zip(ins, directions)]
+    return np.imag(holomorphic_forward(fn, z)) / h

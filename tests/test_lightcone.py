@@ -19,12 +19,11 @@ from pcgraph import functions as fns
 from pcgraph import pc
 from pcgraph.autodiff import backprop, forward
 from pcgraph.errors import DomainError, GraphError, NonFiniteSum, NotLevelled
-from pcgraph import graph as graph_module
-from pcgraph.graph import GROUP_MIN, GraphBuilder, level_structure
+from pcgraph.graph import GraphBuilder, level_structure
 from pcgraph.leveller import level
 from pcgraph.models import FAMILIES, ModelSpec, build_model, random_graph
-from pcgraph.pc import (extract_updates, il_train_step, inference_step,
-                        init_state, run_schedule)
+from pcgraph.pc import (GROUP_MIN, extract_updates, il_train_step,
+                        inference_step, init_state, run_schedule)
 from pcgraph.report import make_report
 from pcgraph.zil import (ZilSchedule, ZilTrace, check_quiet_window,
                          make_schedule, zil_ablate, zil_train_step)
@@ -531,9 +530,7 @@ def ladder(k, seed):
 
 @pytest.fixture
 def batch_calls(monkeypatch):
-    """Lets every run lay its groups out, and records the kind of every
-    batch call and whether it raised."""
-    monkeypatch.setattr(pc, "_LAYOUT_STEPS", 0)
+    """Records the kind of every batch call and whether it raised."""
     calls = []
 
     def counted(method):
@@ -582,7 +579,6 @@ def test_group_runs_match_the_oracle(k, batch_calls, monkeypatch):
     """At the size threshold, and at two members with the threshold
     lowered and a group called as soon as one member is due."""
     if k < GROUP_MIN:
-        monkeypatch.setattr(graph_module, "GROUP_MIN", k)
         monkeypatch.setattr(pc, "GROUP_MIN", k)
         monkeypatch.setattr(pc, "_MIN_DUE", 1)
     for seed in range(2):
@@ -592,25 +588,10 @@ def test_group_runs_match_the_oracle(k, batch_calls, monkeypatch):
     assert batched == {kind for kind, rule in fns.KINDS.items() if rule.batch}
 
 
-@pytest.fixture
-def splits(monkeypatch):
-    """The number of groups each :func:`pc._split` call returned."""
-    made = []
-    split = pc._split
-
-    def counted(*args):
-        groups = split(*args)
-        made.append(len(groups))
-        return groups
-
-    monkeypatch.setattr(pc, "_split", counted)
-    return made
-
-
-def test_scalar_activations_are_left_out_of_their_group(batch_calls, splits):
-    """Four scalar tanh vertices form a group of the graph, but a 0-d
-    activation has no batch form (``Batch.scalars``), so the run's
-    split keeps none of them and each runs per vertex."""
+def test_scalar_activations_are_left_out_of_their_group(batch_calls):
+    """Four scalar tanh vertices apply one rule, but a 0-d activation
+    has no batch form (``Batch.scalars``), so the step plan makes no
+    group of them and each runs per vertex."""
     b = GraphBuilder()
     params = {}
     tops = []
@@ -620,10 +601,56 @@ def test_scalar_activations_are_left_out_of_their_group(batch_calls, splits):
         m = b.vertex(fns.multiply(), [w, x])
         tops.append(b.vertex(fns.activation("tanh"), [m]))
     g = b.build(b.vertex(fns.add(GROUP_MIN), tops))
-    assert frozenset(tops) in graph_module.step_structure(g).groups
     assert_group_runs_match_the_oracle(g, params, target(g, params))
-    assert splits and not any(splits)
+    assert g._steps is not None and g._steps.groups == ()
     assert batch_calls == []
+
+
+def test_the_step_plan_is_kept_per_graph_and_value_shapes(batch_calls):
+    """Four identity(tanh(w * x)) chains under one sum: two groups of
+    four, the tanh vertices and the identities.  IL runs at leaf shapes
+    (3,), (5,) and (3,) again, twice each, with the oracle's bytes; the
+    two runs at one shape share the plan, a new shape replaces it, and
+    the plan's index arrays cannot be written."""
+    b = GraphBuilder()
+    leaves, tops = [], []
+    for _ in range(GROUP_MIN):
+        w, x = b.leaf(), b.leaf(trainable=False)
+        leaves += [w, x]
+        tops.append(b.vertex(fns.identity(), [b.vertex(
+            fns.activation("tanh"), [b.vertex(fns.multiply(), [w, x])])]))
+    g = b.build(b.vertex(fns.sum_reduce(), [b.vertex(fns.add(GROUP_MIN),
+                                                      tops)]))
+    rng = np.random.default_rng(0)
+    plans = []
+    for n in (3, 5, 3):
+        params = {v: rng.uniform(-1.0, 1.0, n) for v in leaves}
+        y = target(g, params)
+        expected, _snaps = relax_every_step(g, params, y, LR,
+                                            il_schedule(g, 0.1, 30), 0.0)
+        want = make_report(g, "il", expected).updates
+        for _run in range(2):
+            got = il_train_step(g, params, y, LR, 0.1, 30).updates
+            assert list(got) == list(want)
+            for key, delta in want.items():
+                assert got[key].tobytes() == delta.tobytes(), (n, key)
+            plans.append(g._steps)
+        assert plans[-1] is plans[-2]
+        assert plans[-1].shapes[leaves[0]] == (n,)
+    assert plans[0] is not plans[2] and plans[2] is not plans[4]
+    for plan in plans[::2]:
+        assert {frozenset(grp.members) for grp in plan.groups} == \
+            {frozenset(tops), frozenset(g.vertices[v].children[0]
+                                        for v in tops)}
+        arrays = [plan.relaxed, plan.heads]
+        for grp in plan.groups:
+            arrays += [*grp.ins, grp.out, *grp.onto]
+        for index in arrays:
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[...] = 0
+    assert {(fns.FnKind.ACTIVATION, True), (fns.FnKind.IDENTITY, True)} \
+        <= set(batch_calls)
 
 
 def identity_chain(depth):
@@ -639,24 +666,22 @@ def identity_chain(depth):
     return g, params, target(g, params)
 
 
-@pytest.mark.parametrize("T, laid_out", [(16, False), (40, True)])
-def test_a_group_first_due_late_in_a_run_is_not_laid_out(T, laid_out,
-                                                        splits):
+@pytest.mark.parametrize("T", [16, 40])
+def test_a_group_first_due_late_in_a_run_is_batched(T, batch_calls):
     """Three members of the chain's group (the output and the two
-    identities below it) are first due at t = 2: with T = 16 fewer than
-    16 steps are left there, so the run lays out no group and runs per
-    vertex; with T = 40 it lays the group out."""
+    identities below it) are first due at t = 2: however few steps are
+    left there, the run calls the group, with the oracle's bytes."""
     g, params, y = identity_chain(8)
     for gamma in (0.1, 1.0):
-        schedule = il_schedule(g, gamma, T)
-        assert schedule.steps > pc._LAYOUT_STEPS
-        expected, _snaps = relax_every_step(g, params, y, LR, schedule, 0.0)
+        del batch_calls[:]
+        expected, _snaps = relax_every_step(g, params, y, LR,
+                                            il_schedule(g, gamma, T), 0.0)
         want = make_report(g, "il", expected).updates
         got = il_train_step(g, params, y, LR, gamma, T).updates
         assert list(got) == list(want)
         for key, delta in want.items():
             assert got[key].tobytes() == delta.tobytes(), (T, gamma, key)
-    assert bool(splits) == laid_out
+        assert (fns.FnKind.IDENTITY, True) in batch_calls
 
 
 def same_nan_bits_too(a, b):
@@ -734,15 +759,23 @@ def test_a_batch_that_leaves_the_domain_raises_at_the_lowest_id(batch_calls):
 def test_later_steps_pull_only_vertices_with_an_internal_child(monkeypatch):
     """Nothing reads a pull onto a leaf: after step 0, which pulls every
     vertex for backprop's domain checks, a vertex whose children are all
-    leaves is not pulled again."""
+    leaves is not pulled again.  Such a vertex is never a group's
+    member; a group call counts as a pull of each member it writes."""
     pulled = []
-    pull_back = pc.pull_back
+    pull_back, group_pull = pc.pull_back, pc._Group.pull
 
     def counted(g, vid, *args):
         pulled.append(vid)
         return pull_back(g, vid, *args)
 
+    def counted_group(grp, live, *args):
+        ok = group_pull(grp, live, *args)
+        if ok:
+            pulled.extend(grp.members[:live])
+        return ok
+
     monkeypatch.setattr(pc, "pull_back", counted)
+    monkeypatch.setattr(pc._Group, "pull", counted_group)
     for family in ("mlp", "rnn", "conv1d"):
         g, params = build_model(ModelSpec(family, (), "tanh", 0))
         lg, _report = level(g)

@@ -18,7 +18,7 @@ import pytest
 from oracles import check_wavefront_recursion
 from pcgraph import functions as fns
 from pcgraph import pc
-from pcgraph.autodiff import forward
+from pcgraph.autodiff import backprop, forward
 from pcgraph.errors import GraphError
 from pcgraph.graph import GraphBuilder
 from pcgraph.leveller import level
@@ -263,3 +263,39 @@ def test_a_wavefront_run_evaluates_each_internal_vertex_once(monkeypatch,
         engines.clear()
         zil_train_step(g, params, y, record_trace=False)
         assert engines == ["relax_schedule"], label
+
+
+def test_untraced_zil_makes_the_kernel_calls_of_backprop(monkeypatch,
+                                                         engines):
+    """The paper's cost claim, counted: on every levelled zoo model and
+    random graph, untraced level-structured Z-IL makes exactly as many
+    ``ElemFn`` forward and vjp calls as backprop."""
+    calls = {"call": 0, "vjp": 0}
+    for name, attr in (("call", "__call__"), ("vjp", "vjp")):
+        def counted(*args, _inner=getattr(fns.ElemFn, attr), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(fns.ElemFn, attr, counted)
+
+    def counts(run):
+        calls.update(call=0, vjp=0)
+        run()
+        return dict(calls)
+
+    models = []
+    for family in FAMILIES:
+        for activation in ("tanh", "identity", "logistic"):
+            for seed in range(3):
+                g, params = build_model(ModelSpec(family, (), activation,
+                                                  seed))
+                models.append((g, params,
+                               forward(g, params).output_value(g) + 0.5))
+    models += [random_graph(seed) for seed in range(200)]
+    for g, params, y in models:
+        lg, _report = level(g)
+        bp = counts(lambda: backprop(lg, params, y, 0.01))
+        zil = counts(lambda: zil_train_step(lg, params, y, 0.01,
+                                            record_trace=False))
+        assert zil == bp and bp["call"] > 0, (lg, bp, zil)
+    assert engines.count("_wavefront") == len(models)

@@ -17,7 +17,6 @@ recurrent weights); their update is the sum of the member updates.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -81,15 +80,20 @@ class Graph:
     """Validated, immutable computational graph.
 
     Construct through :class:`GraphBuilder` or ``serial.build_graph``;
-    direct construction validates too.  Construction also computes the
-    graph's plan once: ``order`` (see :func:`topological_sort`),
+    direct construction validates too.  One Kahn sort from every vertex
+    without parents gives ``order`` (:func:`topological_sort`) and
+    rejects, in this order, a cycle (a vertex it never emits), an output
+    with parents and vertices the output does not reach; the tie groups
+    are checked next.  Construction also computes
     ``internal_ids`` (non-leaf ids, ascending), ``internal_slots[vid]``
     (the slots of ``vid`` whose child is internal), the trainable
     leaves, ``param_keys`` (see :func:`param_keys`) and ``group_by_id``.
-    The level structure is computed on first use by
-    :func:`level_structure` and kept, whether it is a partition or a
-    :class:`NotLevelled` outcome; so is the plan of the forward and
-    reverse sweeps, by :func:`autodiff.sweep_plan`.  ``_steps`` keeps
+    Each of these is computed on first use and kept: the root-path
+    lengths (:func:`path_length_sets`), the level structure
+    (:func:`level_structure`), whether a partition or a
+    :class:`NotLevelled` outcome, the levelled graph and its report
+    (:func:`leveller.level`) and the plan of the forward and reverse
+    sweeps (:func:`autodiff.sweep_plan`).  ``_steps`` keeps
     the step engine's plan for the value shapes of its latest run
     (:func:`pc._step_plan`), which a run with other shapes replaces.
     """
@@ -108,8 +112,8 @@ class Graph:
             m: grp for grp in self.tie_groups for m in grp.members}
         self.group_by_id: dict[str, TieGroup] = {
             grp.group_id: grp for grp in self.tie_groups}
-        self._validate_graph()
-        self.order: tuple[VertexId, ...] = self._topological_order()
+        self.order: tuple[VertexId, ...] = self._sort()
+        self._check_tie_groups()
         self.internal_ids: tuple[VertexId, ...] = tuple(
             v.id for v in self.vertices if not v.is_leaf)
         self.internal_slots: tuple[tuple[int, ...], ...] = tuple(
@@ -122,7 +126,9 @@ class Graph:
             *(("group", grp.group_id) for grp in self.tie_groups),
             *(("leaf", v) for v in self._trainable_leaves
               if v not in self.group_of))
+        self._paths = None  # see path_length_sets
         self._levels: LevelStructure | tuple | None = None  # see level_structure
+        self._levelled = None  # see leveller.level
         self._steps = None  # see pc._step_plan
         self._sweep = None  # see autodiff.sweep_plan
 
@@ -163,34 +169,36 @@ class Graph:
                 acc[c].append((v.id, slot))
         return tuple(tuple(sorted(p)) for p in acc)
 
-    def _topological_order(self) -> tuple[VertexId, ...]:
-        pending = [len(p) for p in self.parents]
-        heap = [self.output]
+    def _sort(self) -> tuple[VertexId, ...]:
+        """The validating sort (see the class docstring)."""
+        vs, parents = self.vertices, self.parents
+        pending = [len(p) for p in parents]
+        heap = [v for v, n in enumerate(pending) if not n]
         order: list[VertexId] = []
         while heap:
             v = heapq.heappop(heap)
             order.append(v)
-            for c in self.vertices[v].children:
+            for c in vs[v].children:
                 pending[c] -= 1
-                if pending[c] == 0:
+                if not pending[c]:
                     heapq.heappush(heap, c)
+        if len(order) < len(vs):  # a waiting vertex has a waiting parent
+            v, at = next(v for v, n in enumerate(pending) if n), {}
+            while v not in at:  # walk parent-ward until a vertex repeats
+                at[v] = len(at)
+                v = next(p for p, _slot in parents[v] if pending[p])
+            raise CycleDetected([v, *reversed(list(at)[at[v]:])])
+        if parents[self.output]:
+            raise GraphError(f"output vertex {self.output} has parents")
+        reached = {self.output}  # a vertex one of whose parents is reached
+        for v in order:
+            if v in reached:
+                reached.update(vs[v].children)
+        if len(reached) < len(vs):
+            raise UnreachableVertex(set(range(len(vs))) - reached)
         return tuple(order)
 
-    def _validate_graph(self) -> None:
-        self._check_acyclic()
-        if self.parents[self.output]:
-            raise GraphError(f"output vertex {self.output} has parents")
-        reachable = set()
-        stack = [self.output]
-        while stack:
-            v = stack.pop()
-            if v in reachable:
-                continue
-            reachable.add(v)
-            stack.extend(self.vertices[v].children)
-        missing = set(range(len(self.vertices))) - reachable
-        if missing:
-            raise UnreachableVertex(missing)
+    def _check_tie_groups(self) -> None:
         if len(self.group_by_id) != len(self.tie_groups):
             raise BadTieGroup("tie group ids must be distinct")
         seen: set[VertexId] = set()
@@ -218,33 +226,6 @@ class Graph:
                     f"leaf {v.id} names tie group {v.tie_group!r} "
                     "which is not declared")
 
-    def _check_acyclic(self) -> None:
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = [WHITE] * len(self.vertices)
-        for start in range(len(self.vertices)):
-            if color[start] != WHITE:
-                continue
-            path: list[VertexId] = []
-            stack: list[tuple[VertexId, int]] = [(start, 0)]
-            color[start] = GREY
-            path.append(start)
-            while stack:
-                v, idx = stack[-1]
-                children = self.vertices[v].children
-                if idx < len(children):
-                    stack[-1] = (v, idx + 1)
-                    c = children[idx]
-                    if color[c] == GREY:
-                        raise CycleDetected(path[path.index(c):] + [c])
-                    if color[c] == WHITE:
-                        color[c] = GREY
-                        path.append(c)
-                        stack.append((c, 0))
-                else:
-                    color[v] = BLACK
-                    path.pop()
-                    stack.pop()
-
 
 # -- ordering and distances ----------------------------------------------
 
@@ -257,34 +238,26 @@ def topological_sort(g: Graph) -> tuple[VertexId, ...]:
 
 
 def min_distances(g: Graph) -> dict[VertexId, int]:
-    """Shortest edge-count distance from the output to every vertex."""
-    dist = {g.output: 0}
-    queue = deque([g.output])
-    while queue:
-        v = queue.popleft()
-        for c in g.vertices[v].children:
-            if c not in dist:
-                dist[c] = dist[v] + 1
-                queue.append(c)
-    return dist
+    """Shortest edge-count distance from the output to every vertex: the
+    least of its :func:`path_length_sets`, keyed in ``g.order``."""
+    return {v: min(s) for v, s in path_length_sets(g).items()}
 
 
 def path_length_sets(g: Graph) -> dict[VertexId, frozenset[int]]:
-    """All distinct root-path lengths per vertex (dynamic programming).
+    """All distinct root-path lengths per vertex, keyed in ``g.order``.
 
-    Efficient companion to the exhaustive path enumeration oracle: the
-    set for a vertex is the union over its parents of their sets shifted
-    by one.
+    Dynamic programming over the order: a vertex's set is the union over
+    its parents of their sets shifted by one (``leveller.audit_paths``,
+    the exhaustive walk, is its oracle).  Computed once per graph and
+    kept, like the level structure, so the result is read-only.
     """
-    sets: dict[VertexId, set[int]] = {g.output: {0}}
-    for v in g.order:
-        if v == g.output:
-            continue
-        acc: set[int] = set()
-        for p, _slot in g.parents[v]:
-            acc.update(l + 1 for l in sets[p])
-        sets[v] = acc
-    return {v: frozenset(s) for v, s in sets.items()}
+    if g._paths is None:
+        sets = {g.output: frozenset((0,))}
+        for v in g.order[1:]:  # the output comes first
+            sets[v] = frozenset(l + 1 for p, _slot in g.parents[v]
+                                for l in sets[p])
+        g._paths = sets
+    return g._paths
 
 
 def level_structure(g: Graph) -> LevelStructure:

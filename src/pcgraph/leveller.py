@@ -10,7 +10,7 @@ gradient: identities pass values and cotangents through bit-exactly.
 
 The contract is the postcondition — unique root-path length for every
 vertex, identical forward values, and bit-identical reverse-pass leaf
-updates — with per-edge padding derived from longest-path depths.
+updates — with per-edge padding derived from the longest root-path lengths.
 """
 
 from __future__ import annotations
@@ -25,46 +25,48 @@ from .graph import (
     Vertex,
     VertexId,
     level_structure,
+    path_length_sets,
 )
 
 
 @dataclass(frozen=True)
 class LevelReport:
     """What the transform did: insertions per original edge, plus the
-    resulting level partition."""
+    resulting level partition.  Shared by every :func:`level` call on one
+    graph, so read-only."""
 
     inserted: int
     edge_paddings: dict[tuple[VertexId, int], int]
     structure: LevelStructure
 
 
-def _depths(g: Graph) -> dict[VertexId, int]:
-    """Longest-path distance from the output to every vertex."""
-    depth: dict[VertexId, int] = {g.output: 0}
-    for vid in g.order:
-        if vid == g.output:
-            continue
-        depth[vid] = 1 + max(depth[p] for p, _slot in g.parents[vid])
-    return depth
-
-
 def level(g: Graph) -> tuple[Graph, LevelReport]:
     """Return an equivalent levelled graph and a report of the insertions.
 
-    Original vertices keep their ids; inserted identity vertices get
-    fresh ids appended after the existing ones and never join tie
-    groups.  Levelling an already-levelled graph returns the graph
-    object unchanged with zero insertions.
+    Each edge is padded by its child's longest root-path length less its
+    parent's, less one (:func:`graph.path_length_sets`).  Original
+    vertices keep their ids; inserted identity vertices get fresh ids
+    appended after the existing ones and never join tie groups.
+    Levelling an already-levelled graph returns the graph object
+    unchanged with zero insertions.  The result is computed once per
+    graph and kept on it, so every call returns the same graph and
+    report, and the report is read-only.
     """
-    depth = _depths(g)
-    paddings: dict[tuple[VertexId, int], int] = {}
-    for v in g.vertices:
-        for slot, c in enumerate(v.children):
-            paddings[(v.id, slot)] = depth[c] - depth[v.id] - 1
-    total = sum(paddings.values())
-    if total == 0:
-        return g, LevelReport(inserted=0, edge_paddings=paddings,
-                              structure=level_structure(g))
+    if g._levelled is None:
+        depth = {v: max(s) for v, s in path_length_sets(g).items()}
+        paddings = {(v.id, slot): depth[c] - depth[v.id] - 1
+                    for v in g.vertices for slot, c in enumerate(v.children)}
+        total = sum(paddings.values())
+        lg = Graph(_padded(g, paddings), g.output, g.tie_groups) \
+            if total else g
+        g._levelled = lg, LevelReport(inserted=total, edge_paddings=paddings,
+                                      structure=level_structure(lg))
+    return g._levelled
+
+
+def _padded(g: Graph, paddings: dict[tuple[VertexId, int], int]
+            ) -> list[Vertex]:
+    """``g``'s vertices with each edge's padding inserted."""
     new_vertices = list(g.vertices)
     next_id = len(g.vertices)
     for v in g.vertices:
@@ -84,9 +86,7 @@ def level(g: Graph) -> tuple[Graph, LevelReport]:
             next_id += pad
         if children != list(v.children):
             new_vertices[v.id] = replace(v, children=tuple(children))
-    levelled = Graph(new_vertices, g.output, g.tie_groups)
-    return levelled, LevelReport(inserted=total, edge_paddings=paddings,
-                                 structure=level_structure(levelled))
+    return new_vertices
 
 
 def audit_paths(g: Graph, limit: int = 1_000_000) -> dict[VertexId, frozenset[int]]:

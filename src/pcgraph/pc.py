@@ -288,8 +288,7 @@ class _StepPlan(NamedTuple):
     pull arriving at each one-term vertex where its x sits, in its
     first ``n_single``, then one per edge into a several-term vertex;
     ``lands`` holds each edge into an internal vertex with its part of
-    PULL and its pull's shape.  ``several_children[p]`` holds p's
-    distinct internal children in ``several``.  ``relaxed`` holds the
+    PULL and its pull's shape.  ``relaxed`` holds the
     relaxed vertices whose value has a component, and ``heads`` where
     in X each starts; both are read-only.  ``groups`` are the
     :class:`_Group` plans of :data:`GROUP_MIN` or more members, and
@@ -305,7 +304,6 @@ class _StepPlan(NamedTuple):
     n_pull: int
     lands: tuple[tuple[tuple[VertexId, int], slice, tuple[int, ...]], ...]
     several: tuple[VertexId, ...]
-    several_children: tuple[tuple[VertexId, ...], ...]
     relaxed: Array
     heads: Array
     groups: tuple[_Group, ...]
@@ -379,16 +377,13 @@ def _step_plan(g: Graph, shapes: tuple[tuple[int, ...], ...]) -> _StepPlan:
             tuple(range(len(members) + 1)) if batch.stack else
             (0, *accumulate(math.prod(shapes[m]) for m in members)))
 
-    many = set(several)
     relaxed = [v for v, size in zip(order[:-1], sizes) if size]
     groups = tuple(map(group, kept))
     g._steps = _StepPlan(
         shapes, order, fed, span, n_single, span[g.output].start, end,
-        tuple(lands), several,
-        tuple(tuple({v.children[s] for s in slots[v.id]} & many)
-              for v in vs),
-        _index(relaxed), _index([span[v].start for v in relaxed]),
-        groups, frozenset().union(*(grp.members for grp in groups)))
+        tuple(lands), several, _index(relaxed),
+        _index([span[v].start for v in relaxed]), groups,
+        frozenset().union(*(grp.members for grp in groups)))
     return g._steps
 
 
@@ -417,11 +412,12 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     their x, a byte compare of old and new x per vertex (so a -0.0 that
     becomes 0.0 is a move), and eps = x - mu.  The rule is a pure
     function, so only what a move reaches is recomputed: a prediction
-    when a child's value moved, a pull when its vertex's eps may have
-    changed, and the exact sum of a several-term vertex when its eps or
-    a parent's pull may have.  Where a step is not finite,
-    :func:`relax` runs per vertex in ascending id, so it raises where
-    and as the rule does.  There a 0-d x that started as a NumPy
+    when a child's value moved and a pull when its vertex's eps may have
+    changed; the exact sum of every several-term vertex in the region is
+    taken at every step (of the model zoo, only ``residual`` and
+    ``attention`` have such a vertex, one each).  Where a step is not
+    finite, :func:`relax` runs per vertex in ascending id, so it raises
+    where and as the rule does.  There a 0-d x that started as a NumPy
     scalar, or has moved (the rule returns one), is passed as a scalar,
     because between two NaN operands a scalar ``+`` keeps another NaN
     than an array one does.
@@ -532,10 +528,8 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
         np.subtract(IN, in_eps, out=in_step)
         np.add(in_step, 0.0, out=in_step)
         try:
-            if several:
-                stale = changed.intersection(several).union(
-                    *(plan.several_children[p] for p in pulled))
-                for v in sorted(stale.intersection(x)):
+            for v in several:
+                if v in x:
                     sums[v][...] = fsum_arrays(
                         [-eps[v], *(into[edge] for edge in g.parents[v])])
         except NonFiniteSum:

@@ -8,9 +8,9 @@ import math
 
 import numpy as np
 
-from pcgraph.autodiff import arriving, pull_onto
+from pcgraph.autodiff import arriving, pull_onto, sweep_plan
 from pcgraph.functions import KINDS, ElemFn, FnKind
-from pcgraph.graph import Graph, level_structure
+from pcgraph.graph import Graph, VertexId, level_structure
 from pcgraph.numerics import Array, as_f64, exact_sum, fsum_arrays, l2_norm
 from pcgraph.pc import ZilTrace
 
@@ -74,3 +74,21 @@ def complex_step_jvp(fn: ElemFn, ins: list[Array], directions: list[Array],
     rule."""
     z = [x + 1j * h * v for x, v in zip(ins, directions)]
     return np.imag(holomorphic_forward(fn, z)) / h
+
+
+def complex_step_energy(g: Graph, params: dict[VertexId, Array], y: float,
+                        directions: dict[VertexId, Array],
+                        h: float = 1e-200) -> float:
+    """The derivative of E = (mu_out - y)^2 / 2 along ``directions`` (one
+    per trainable leaf) by the complex step: a complex forward pass over
+    ``sweep_plan(g).forward`` with :func:`holomorphic_forward` at every
+    vertex and each leaf at its value + i h d, then Im E / h.  It never
+    calls ``forward``, so no input check sees a complex value."""
+    mu: dict[VertexId, Array] = {}
+    for vid, fn, kids in sweep_plan(g).forward:
+        if fn is None:
+            mu[vid] = as_f64(params[vid]) + 1j * h * directions.get(vid, 0.0)
+        else:
+            mu[vid] = holomorphic_forward(fn, [mu[c] for c in kids])
+    diff = mu[g.output] - y
+    return float(np.imag(0.5 * diff * diff)) / h

@@ -1,0 +1,44 @@
+"""The byte gate runs and repeats itself on a small corpus.
+
+``tools/bytegate.py`` prints one line per (case, run) of a fixed corpus;
+a change is gated by diffing its output with the parent's.  This loads
+it by file path and runs three of its cases twice on the working tree:
+both passes must print the same lines, and the invalid graph must be
+refused.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import pcgraph
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bytegate.py"
+PICKED = ("residual/tanh/0", "random/7", "invalid/0")
+
+
+def bytegate():
+    spec = importlib.util.spec_from_file_location("bytegate", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # x 1e160 overflows
+def test_the_gate_repeats_itself_on_three_cases():
+    gate = bytegate()
+
+    def run():
+        picked = [c for c in gate.cases(pcgraph) if c[0] in PICKED]
+        return list(gate.lines(pcgraph, picked))
+
+    first = run()
+    assert first == run()
+    assert all(any(line.startswith(label) for line in first)
+               for label in PICKED)
+    refused = [line for line in first if line.startswith("invalid/0\t")]
+    assert len(refused) == 1 and "raise CycleDetected" in refused[0]
+    # The refusal, then per graph built: two forms, each with 5 graph
+    # runs and 11 engine runs per params scale.
+    assert len(first) == 1 + 2 * 2 * (5 + 2 * 11)

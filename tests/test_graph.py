@@ -110,6 +110,54 @@ def test_cycle_detected_with_path():
     assert set(exc.value.path) >= {0, 1}
 
 
+def walk(start, step):
+    """Every id reached from ``start`` by repeatedly following ``step``."""
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in step(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 500), st.integers(0, 2**32 - 1), st.booleans())
+def test_construction_names_a_real_cycle_or_the_unreached_vertices(
+        seed, pick, orphan):
+    """One child of a random graph's internal vertex is redirected to any
+    vertex, and maybe an orphan leaf added: the graph is then rejected
+    with a cycle exactly when the new child is the vertex or one of its
+    ancestors, else with exactly the vertices the output no longer
+    reaches, if any."""
+    g, _params, _y = models.random_graph(seed)
+    rng = np.random.default_rng(pick)
+    v = g.vertices[int(rng.choice(g.internal_ids))]
+    children, new = list(v.children), int(rng.integers(len(g)))
+    children[int(rng.integers(len(children)))] = new
+    vs = list(g.vertices)
+    vs[v.id] = Vertex(v.id, v.fn, tuple(children), False)
+    if orphan:
+        vs.append(Vertex(len(vs), None, (), True))
+    above = walk(v.id, lambda u: (p for p, _slot in g.parents[u]))
+    missing = set(range(len(vs))) - walk(g.output, lambda u: vs[u].children)
+    try:
+        built = Graph(vs, g.output)
+    except CycleDetected as err:
+        path = err.path
+        assert new in above, "no cycle was made"
+        assert len(path) >= 2 and path[0] == path[-1]
+        assert len(set(path)) == len(path) - 1
+        for parent, child in zip(path, path[1:]):
+            assert child in vs[parent].children
+        return
+    except UnreachableVertex as err:
+        assert new not in above and set(err.ids) == missing
+        return
+    assert new not in above and not missing
+    assert sorted(built.order) == list(range(len(vs)))
+
+
 def test_output_with_parents_rejected():
     vs = [Vertex(0, fns.square(), (1,), False),
           Vertex(1, fns.square(), (2,), False),
@@ -193,7 +241,7 @@ def test_topological_sort_respects_parents(seed):
 def test_min_distance_is_smallest_path_length(seed):
     g, _params, _y = models.random_graph(seed)
     dist = min_distances(g)
-    sets = path_length_sets(g)
+    sets = audit_paths(g)
     assert dist.keys() == sets.keys()
     for v, s in sets.items():
         assert dist[v] == min(s)

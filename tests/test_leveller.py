@@ -11,6 +11,7 @@ from pcgraph.errors import TooLarge
 from pcgraph.functions import FnKind
 from pcgraph.graph import level_structure, path_length_sets
 from pcgraph.leveller import audit_paths, level
+from pcgraph.zil import zil_train_step
 
 
 def skip_product_graph():
@@ -127,3 +128,21 @@ def test_residual_and_gated_models_become_levelled():
         lg, report = level(g)
         assert report.inserted > 0
         level_structure(lg)  # no longer raises
+
+
+@pytest.mark.parametrize("family", ["mlp", "residual"])
+def test_level_is_kept_per_graph(family):
+    """A second call returns the same graph and report, whether the
+    graph needed identities or not, so its level structure and plans
+    are reused."""
+    g, params = models.build_model(models.ModelSpec(family, (), "tanh", 0))
+    lg, report = level(g)
+    again, same = level(g)
+    assert again is lg and same is report
+    assert (lg is g) == (family in models.LEVELLED_FAMILIES)
+    y = forward(lg, params).output_value(lg) + 0.5
+    zil_train_step(lg, params, y, record_trace=True)
+    plan = lg._steps
+    assert plan is not None
+    zil_train_step(level(g)[0], params, y, record_trace=True)
+    assert lg._steps is plan

@@ -205,21 +205,13 @@ def reverse_sweep(g: Graph, values: Mapping[VertexId, Array], seed: Array,
     return signal
 
 
-def forward(g: Graph, params: Mapping[VertexId, Array],
-            overrides: Mapping[VertexId, Array] | None = None) -> ForwardTrace:
+def forward(g: Graph, params: Mapping[VertexId, Array]) -> ForwardTrace:
     """Evaluate every vertex bottom-up, validating each vertex's inputs
-    (:meth:`ElemFn.check`): every run starts from this pass.
-
-    ``overrides`` forces selected vertices to given values instead of
-    evaluating them — the hook the finite-difference oracle for error
-    signals uses.
-    """
+    (:meth:`ElemFn.check`): every run starts from this pass."""
     leaves = check_params(g, params)
     mu: dict[VertexId, Array] = {}
     for vid, fn, kids in sweep_plan(g).forward:
-        if overrides and vid in overrides:
-            mu[vid] = as_f64(overrides[vid])
-        elif fn is None:
+        if fn is None:
             mu[vid] = leaves[vid]
         else:
             try:

@@ -125,16 +125,15 @@ class Batch(NamedTuple):
     ``vjp(fn, ins, upstream, want)`` give, wherever they are finite,
     the bytes of the kind's own rule on each vertex (a non-finite value
     may carry other NaN bits: between two NaNs, a long ``np.add`` keeps
-    another one than a one-component call).  ``scalars`` says whether
-    that also holds where the values are 0-d.  A ``DomainError`` names
-    some vertex's offending value, not necessarily the first one's.
+    another one than a one-component call), 0-d values included.  A
+    ``DomainError`` names some vertex's offending value, not
+    necessarily the first one's.
     """
 
     stack: bool
     forward: Callable[[ElemFn, tuple[Array, ...]], Array]
     vjp: Callable[[ElemFn, tuple[Array, ...], Array, Collection[int]],
                   tuple[Array | None, ...]]
-    scalars: bool = True
 
 
 class KindRule(NamedTuple):
@@ -169,12 +168,10 @@ class KindRule(NamedTuple):
     batch: Batch | None = None
 
 
-def _componentwise(arity, forward, vjp, check=None,
-                   scalars=True) -> KindRule:
+def _componentwise(arity, forward, vjp, check=None) -> KindRule:
     """A kind whose rules act component by component, so they run
     unchanged on many vertices' values concatenated."""
-    return KindRule(arity, forward, vjp, check,
-                    Batch(False, forward, vjp, scalars))
+    return KindRule(arity, forward, vjp, check, Batch(False, forward, vjp))
 
 
 def _sqrt(fn, ins):
@@ -227,7 +224,9 @@ _activations = {
 
 _activation_derivs = {
     "identity": np.ones_like,
-    "tanh": lambda x: 1.0 - np.tanh(x) ** 2,
+    # np.square, not ``** 2``: on a 0-d value np.tanh returns a NumPy
+    # scalar, whose ``**`` takes libm's pow and may round otherwise.
+    "tanh": lambda x: 1.0 - np.square(np.tanh(x)),
     "logistic": lambda x: _logistic(x) * (1.0 - _logistic(x)),
 }
 
@@ -269,14 +268,10 @@ KINDS: dict[FnKind, KindRule] = {
         1, lambda fn, ins: ins[0] * ins[0],
         lambda fn, ins, u, want: (np.multiply(2.0 * ins[0], u),)),
     FnKind.SQRT: _componentwise(1, _sqrt, _sqrt_vjp),
-    # On a 0-d value tanh's derivative squares a NumPy scalar, which
-    # takes libm's pow; its last bit differs from an array's square in
-    # about one value in 1400, so 0-d activations run per vertex.
     FnKind.ACTIVATION: _componentwise(
         1, lambda fn, ins: _activations[fn.name](ins[0]),
         lambda fn, ins, u, want: (
-            np.multiply(_activation_derivs[fn.name](ins[0]), u),),
-        scalars=False),
+            np.multiply(_activation_derivs[fn.name](ins[0]), u),)),
     # ins = (kernel, signal)
     FnKind.CONVOLVE1D: KindRule(
         2, lambda fn, ins: np.correlate(ins[1], ins[0], mode="valid"),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .autodiff import backprop
+from .autodiff import backprop, forward
 from .errors import GraphError
 from .graph import Graph, VertexId
 from .leveller import level
@@ -126,8 +126,6 @@ def _target_for(g: Graph, params: Mapping[VertexId, Array],
                 offset: float) -> float:
     """A target a fixed offset away from the current output value, so the
     one-step error is the same scale across models and seeds."""
-    from .autodiff import forward
-
     return forward(g, params).output_value(g) + offset
 
 

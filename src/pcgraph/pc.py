@@ -229,48 +229,40 @@ class _Group(NamedTuple):
 
     The members share a function of a kind with a batch form, the
     pattern of internal and leaf children (at least one internal) and,
-    for a stacked batch, their children's value shapes; a 0-d member
-    only where the batch holds for it.  They are ordered by level,
-    highest first (by id on a graph that is not levelled), so the light
-    cone takes them out of the region from the end: a run keeps how
-    many are still in it, ``live``, and calls a group on
-    ``members[:live]``.  ``ins[s]`` holds the index of each member's
-    input in slot s in X, ``out`` that of each member in MU and EPS,
-    and ``onto[i]`` that of its pull onto ``slots[i]`` in PULL.  Each
-    index array is laid out as the batch takes it (flat or stacked) and
-    is read-only; its first ``cut[j]`` rows belong to the first j
-    members.
+    for a stacked batch, their children's value shapes.  A call computes
+    and writes every member.  ``ins[s]`` holds the index of each
+    member's input in slot s in X, ``out`` that of each member in MU
+    and EPS, and ``onto[i]`` that of its pull onto ``slots[i]`` in
+    PULL, members in ascending id; each index array is laid out as the
+    batch takes it (flat or stacked) and is read-only.
     """
 
     fn: ElemFn
     batch: Batch
-    members: tuple[VertexId, ...]
+    members: frozenset[VertexId]
     slots: tuple[int, ...]
     ins: tuple[Array, ...]
     out: Array
     onto: tuple[Array, ...]
-    cut: tuple[int, ...]
 
-    def predict(self, live: int, X: Array, MU: Array) -> bool:
-        """Write the first ``live`` members' predictions; False, writing
-        none, where one is not finite."""
-        c = self.cut[live]
-        mu = self.batch.forward(self.fn, [X[at[:c]] for at in self.ins])
+    def predict(self, X: Array, MU: Array) -> bool:
+        """Write the members' predictions; False, writing none, where
+        one is not finite."""
+        mu = self.batch.forward(self.fn, [X[at] for at in self.ins])
         if not all_finite(mu):
             return False
-        MU[self.out[:c]] = mu
+        MU[self.out] = mu
         return True
 
-    def pull(self, live: int, X: Array, EPS: Array, PULL: Array) -> bool:
-        """Write the first ``live`` members' pulls onto their internal
-        slots; False, writing none, where one is not finite."""
-        c = self.cut[live]
-        back = self.batch.vjp(self.fn, [X[at[:c]] for at in self.ins],
-                              EPS[self.out[:c]], self.slots)
+    def pull(self, X: Array, EPS: Array, PULL: Array) -> bool:
+        """Write the members' pulls onto their internal slots; False,
+        writing none, where one is not finite."""
+        back = self.batch.vjp(self.fn, [X[at] for at in self.ins],
+                              EPS[self.out], self.slots)
         if not all(all_finite(back[s]) for s in self.slots):
             return False
         for s, onto in zip(self.slots, self.onto):
-            PULL[onto[:c]] = back[s]
+            PULL[onto] = back[s]
         return True
 
 
@@ -324,16 +316,11 @@ def _step_plan(g: Graph, shapes: tuple[tuple[int, ...], ...]) -> _StepPlan:
     if g._steps is not None and g._steps.shapes == shapes:
         return g._steps
     vs, slots = g.vertices, g.internal_slots
-    try:
-        levels = level_structure(g).levels
-    except NotLevelled:
-        levels = {}
     classes: dict[tuple, list[VertexId]] = {}
-    for vid in sorted(g.internal_ids, key=lambda v: -levels.get(v, 0)):
+    for vid in g.internal_ids:
         fn, kids = vs[vid].fn, vs[vid].children
         batch = KINDS[fn.kind].batch
-        if slots[vid] and batch is not None and (batch.scalars
-                                                 or shapes[vid] != ()):
+        if slots[vid] and batch is not None:
             classes.setdefault((fn, tuple(vs[c].is_leaf for c in kids),
                                 tuple(shapes[c] for c in kids)
                                 if batch.stack else ()), []).append(vid)
@@ -367,15 +354,13 @@ def _step_plan(g: Graph, shapes: tuple[tuple[int, ...], ...]) -> _StepPlan:
                 else index
 
         return _Group(
-            first.fn, batch, tuple(members), slots[members[0]],
+            first.fn, batch, frozenset(members), slots[members[0]],
             tuple(laid([span[vs[m].children[s]] for m in members], shapes[c])
                   for s, c in enumerate(first.children)),
             laid([span[m] for m in members], shapes[members[0]]),
             tuple(laid([at[m, s] for m in members],
                        shapes[first.children[s]])
-                  for s in slots[members[0]]),
-            tuple(range(len(members) + 1)) if batch.stack else
-            (0, *accumulate(math.prod(shapes[m]) for m in members)))
+                  for s in slots[members[0]]))
 
     relaxed = [v for v, size in zip(order[:-1], sizes) if size]
     groups = tuple(map(group, kept))
@@ -425,14 +410,15 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     Predictions and pulls run per group of the plan where that pays:
     where three or more members of a group are due, one batch call
     (:class:`functions.Batch`) on rows gathered from the buffers
-    computes and writes every member still in the region.  A member
-    that was not due gets the bytes it holds, because the rule is pure;
-    one that has left the region keeps what it last held, as it does
-    when vertices run one by one, so the buffers hold the same bytes
-    either way.  Where a batch result is not finite, the due members
-    run per vertex; where a batch call raises a ``DomainError``, the
-    whole phase reruns per vertex in ascending id, so the same vertex
-    raises with the same message.
+    computes and writes every member.  A member that was not due gets
+    the bytes it holds, because the rule is pure; one that has left the
+    region is written where nothing in the region reads it, because the
+    region is closed under the rule (where what it is given is not
+    finite, the step at most relaxes per vertex, as above).  Where a
+    batch result is not finite, the due members run per vertex; where a
+    batch call raises a ``DomainError``, the whole phase reruns per
+    vertex in ascending id, so the same vertex raises with the same
+    message.
 
     With ``cone`` given, the vertices in ``cone[t]`` leave the region
     after step t's pulls; the caller vouches that no later step reads
@@ -470,7 +456,6 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     slots = g.internal_slots
     sums = {v: view(STEP, v) for v in several}
     frozen = np.zeros(n_relaxed, dtype=bool)  # left the region
-    in_region = [len(grp.members) for grp in plan.groups]  # see _Group
     # The 0-d values the rule would hold as NumPy scalars: those that
     # start as one and those that moved (relax returns a scalar).
     scalars = {v for v, val in state.x.items() if isinstance(val, np.generic)}
@@ -484,9 +469,9 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
             return due
         done: set[VertexId] = set()
         try:
-            for grp, n in zip(plan.groups, in_region):
-                hit = set(grp.members[:n]).intersection(due)
-                if len(hit) >= _MIN_DUE and call(grp, n):
+            for grp in plan.groups:
+                hit = grp.members.intersection(due)
+                if len(hit) >= _MIN_DUE and call(grp):
                     done |= hit
         except DomainError:
             return due
@@ -510,7 +495,7 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
             break
         pulled = sorted(p for p in changed
                         if slots[p] or not t and g.vertices[p].children)
-        for p in batched(pulled, lambda grp, n: grp.pull(n, X, EPS, PULL)):
+        for p in batched(pulled, lambda grp: grp.pull(X, EPS, PULL)):
             back = pull_back(g, p, values, eps[p], slots[p])
             for s in slots[p]:
                 into[p, s][...] = back[s]
@@ -522,9 +507,6 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
                     frozen[span[v]] = True
                 for region in (x, mu, eps, *shown):
                     region.pop(v, None)
-            for i, grp in enumerate(plan.groups):
-                while in_region[i] and grp.members[in_region[i] - 1] not in x:
-                    in_region[i] -= 1
         np.subtract(IN, in_eps, out=in_step)
         np.add(in_step, 0.0, out=in_step)
         try:
@@ -558,7 +540,7 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
         scalars.update(moved)
         evaluated = sorted({p for v in moved for p, _slot in g.parents[v]
                             if p in mu})
-        for v in batched(evaluated, lambda grp, n: grp.predict(n, X, MU)):
+        for v in batched(evaluated, lambda grp: grp.predict(X, MU)):
             mu[v][...] = evaluate(g, v, values)
         np.subtract(XI, MU, out=EPS)
         changed = set(moved).union(evaluated)

@@ -38,7 +38,7 @@ from typing import Literal, Mapping
 import numpy as np
 
 from .errors import GraphError
-from .graph import Graph, VertexId, level_structure, min_distances
+from .graph import Graph, VertexId, level_structure, path_length_sets
 from .numerics import Array
 from .pc import ZilSchedule, ZilTrace, run_schedule
 from .report import UpdateReport
@@ -59,9 +59,9 @@ def make_schedule(g: Graph, variant: Variant) -> ZilSchedule:
         structure = level_structure(g)
         times = {v: structure.levels[v] - 1 for v in trainable}
     elif variant == "layer_indexed":
-        dist = min_distances(g)
-        times = {v: min(dist[p] for p, _slot in g.parents[v])
-                 for v in trainable}
+        # a leaf's least root-path length is one past its parents' least
+        lengths = path_length_sets(g)
+        times = {v: min(lengths[v]) - 1 for v in trainable}
     else:
         raise GraphError(f"unknown schedule variant {variant!r}")
     return ZilSchedule(gamma=1.0, update_times=times)

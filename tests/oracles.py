@@ -64,6 +64,23 @@ def holomorphic_forward(fn: ElemFn, ins: list[Array]) -> Array:
     return KINDS[fn.kind].forward(fn, ins)
 
 
+def pinned_forward(g: Graph, params: dict[VertexId, Array],
+                   pinned: dict[VertexId, Array]) -> dict[VertexId, Array]:
+    """Every vertex's forward value with the vertices in ``pinned`` held
+    at the given values: a forward pass over ``sweep_plan(g).forward``
+    that evaluates each other vertex by its function, so a finite
+    difference can bump one internal value and see the output move."""
+    mu: dict[VertexId, Array] = {}
+    for vid, fn, kids in sweep_plan(g).forward:
+        if vid in pinned:
+            mu[vid] = as_f64(pinned[vid])
+        elif fn is None:
+            mu[vid] = as_f64(params[vid])
+        else:
+            mu[vid] = fn([mu[c] for c in kids])
+    return mu
+
+
 def complex_step_jvp(fn: ElemFn, ins: list[Array], directions: list[Array],
                      h: float = 1e-200) -> Array:
     """J v: the derivative of ``fn`` at ``ins`` along ``directions``

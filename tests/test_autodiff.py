@@ -25,7 +25,7 @@ from pcgraph.numerics import fsum_arrays
 from pcgraph.pc import il_train_step
 from pcgraph.zil import ABLATIONS, zil_ablate, zil_train_step
 
-from oracles import complex_step_energy
+from oracles import complex_step_energy, pinned_forward
 
 
 def nested_root_graph():
@@ -48,15 +48,6 @@ def test_forward_requires_all_leaf_values():
     missing.pop(next(iter(missing)))
     with pytest.raises(GraphError, match="missing"):
         forward(g, missing)
-
-
-def test_forward_overrides_pin_vertices():
-    g, params = nested_root_graph()
-    trace = forward(g, params)
-    inner = [v for v in g.internal_ids if v != g.output]
-    pick = inner[0]
-    forced = forward(g, params, overrides={pick: trace.mu[pick]})
-    assert forced.mu == trace.mu  # pinning to the natural value changes nothing
 
 
 def test_domain_error_carries_vertex_id():
@@ -182,7 +173,8 @@ def test_frozen_leaves_get_no_update():
 # -- reverse vs independent oracles ---------------------------------------
 
 def test_error_signal_matches_finite_difference_on_internal_vertex():
-    """dE/dmu_i via overrides: bump one internal value, difference the loss."""
+    """dE/dmu_i: pin one internal value a step either side of its
+    forward value (:func:`oracles.pinned_forward`), difference the loss."""
     g, params = models.build_model(models.ModelSpec("mlp", (3, 5, 1), "tanh", 1))
     y = 0.7
     rep = backprop(g, params, y=y, lr=1.0)
@@ -199,8 +191,8 @@ def test_error_signal_matches_finite_difference_on_internal_vertex():
             else:
                 up = up + h
                 down = down - h
-            e_up = loss_value(forward(g, params, overrides={vid: up}).mu[g.output], y)
-            e_down = loss_value(forward(g, params, overrides={vid: down}).mu[g.output], y)
+            e_up = loss_value(pinned_forward(g, params, {vid: up})[g.output], y)
+            e_down = loss_value(pinned_forward(g, params, {vid: down})[g.output], y)
             numeric = (e_up - e_down) / (2 * h)
             analytic = float(rep.delta[vid][i]) if base.shape else float(rep.delta[vid])
             assert analytic == pytest.approx(numeric, abs=1e-5)

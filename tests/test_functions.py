@@ -359,12 +359,12 @@ def test_the_kinds_that_batch():
     "fn", _componentwise(),
     ids=lambda fn: f"{fn.kind.value}-{fn.name or fn.arity}")
 def test_a_componentwise_batch_gives_the_bytes_of_its_rows(fn):
-    """Rows of several shapes, concatenated: the batch rules give each
-    row's bytes, for the forward value and every pull, and 0-d rows
-    too where the batch says it holds for them."""
+    """Rows of several shapes, 0-d ones included, concatenated: the
+    batch rules give each row's bytes, for the forward value and every
+    pull."""
     batch = fns.KINDS[fn.kind].batch
     rng = np.random.default_rng(0)
-    shapes = [(3,), (1,), (5,), (2,), *([()] * 3 if batch.scalars else [])]
+    shapes = [(3,), (1,), (5,), (2,), (), (), ()]
     for _trial in range(30):
         rows = [[_value(rng, fn, shape) for _ in range(fn.arity)]
                 for shape in shapes]
@@ -383,18 +383,19 @@ def test_a_componentwise_batch_gives_the_bytes_of_its_rows(fn):
                         _flat([pull[s] for pull in per_row]).tobytes()
 
 
-def test_activations_batch_only_vectors_because_of_tanh_on_scalars():
-    """On a 0-d value tanh's derivative squares a NumPy scalar, which
-    takes libm's pow; an array squares.  The last bits differ now and
-    then, so a batch of 0-d activations would change bytes."""
-    assert not fns.KINDS[fns.FnKind.ACTIVATION].batch.scalars
+def test_tanh_on_scalars_gives_the_bytes_of_an_array():
+    """On a 0-d value np.tanh returns a NumPy scalar.  Its derivative
+    squares that with np.square, as an array's is squared, so a batch
+    of 0-d activations keeps every value's bytes; ``** 2`` would take
+    libm's pow, whose last bit differs now and then."""
     tanh = fns.activation("tanh")
     x = np.random.default_rng(0).normal(size=20_000) * 3.0
     one = np.ones_like(x)
     per_value = [tanh.vjp([np.asarray(v)], np.asarray(1.0))[0] for v in x]
     batch = fns.KINDS[fns.FnKind.ACTIVATION].batch.vjp(tanh, (x,), one, [0])
-    differ = np.count_nonzero(np.asarray(per_value) != batch[0])
-    assert 0 < differ < len(x) / 100
+    assert np.asarray(per_value).tobytes() == batch[0].tobytes()
+    by_pow = [1.0 - np.tanh(np.asarray(v)) ** 2 for v in x]
+    assert 0 < np.count_nonzero(np.asarray(by_pow) != batch[0]) < len(x) / 100
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["stacked", "tied"])

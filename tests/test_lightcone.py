@@ -486,7 +486,7 @@ def test_non_finite_runs_match_the_oracle(fallback_steps):
 
 # -- groups: vertices that share a rule run in one batch call -------------
 
-def ladder(k, seed):
+def ladder(k, seed, scalar=False):
     """``k`` equal chains joined at the output, with vector vertices of
     every kind that has a batch form, each on an internal child, so
     that each such kind forms groups of ``k`` or ``2k``:
@@ -495,22 +495,28 @@ def ladder(k, seed):
     d = identity activation(logistic(a)), i = identity(identity(a)),
     p = d * i * b, v = V p (V tied), out = sum(v_1 + ... + v_k).
 
-    Each a has two parents, so pulls onto it land one per edge.
+    Each a has two parents, so pulls onto it land one per edge.  With
+    ``scalar`` set every value is 0-d and ``multiply`` takes both
+    matvecs' places: m = w * x and v = V * p.
     """
     rng = np.random.default_rng(seed)
     b = GraphBuilder()
     params = {}
+    vector, weights, shared_shape = ((), (), ()) if scalar else \
+        ((3,), (3, 3), (2, 3))
+    product = fns.multiply if scalar else fns.matvec
 
     def leaf(shape, **kw):
         vid = b.leaf(**kw)
         params[vid] = rng.uniform(-0.5, 0.5, shape)
         return vid
 
-    shared = rng.uniform(-0.5, 0.5, (2, 3))
+    shared = rng.uniform(-0.5, 0.5, shared_shape)
     tops = []
     for _ in range(k):
-        m = b.vertex(fns.matvec(), [leaf((3, 3)), leaf(3, trainable=False)])
-        c = leaf(3)
+        m = b.vertex(product(), [leaf(weights),
+                                 leaf(vector, trainable=False)])
+        c = leaf(vector)
         params[c] += 1.0
         r = b.vertex(fns.sqrt(), [b.vertex(fns.add(), [
             b.vertex(fns.square(), [m]), c])])
@@ -519,10 +525,10 @@ def ladder(k, seed):
             b.vertex(fns.activation("logistic"), [a])])
         i = b.vertex(fns.identity(), [b.vertex(fns.identity(), [a])])
         p = b.vertex(fns.multiply(), [b.vertex(fns.multiply(), [d, i]),
-                                      leaf(3)])
-        v = leaf((2, 3), tie_group="V")
+                                      leaf(vector)])
+        v = leaf(shared_shape, tie_group="V")
         params[v] = shared.copy()
-        tops.append(b.vertex(fns.matvec(), [v, p]))
+        tops.append(b.vertex(product(), [v, p]))
     b.tie_value("V", shared)
     g = b.build(b.vertex(fns.sum_reduce(), [b.vertex(fns.add(k), tops)]))
     return g, params, target(g, params)
@@ -573,25 +579,54 @@ def assert_group_runs_match_the_oracle(g, params, y, same=same_bytes):
             assert same(report.updates[key], delta), (schedule, key)
 
 
+def batched_ladder_kinds(k, scalar, batch_calls, monkeypatch):
+    """Run two ladders of ``k`` chains against the oracle, the group
+    threshold lowered to ``k`` where it is below four, and give the
+    kinds that batched."""
+    if k < GROUP_MIN:
+        monkeypatch.setattr(pc, "GROUP_MIN", k)
+        monkeypatch.setattr(pc, "_MIN_DUE", 1)
+    for seed in range(2):
+        g, params, y = ladder(k, seed, scalar)
+        level_structure(g)  # levelled: the traced Z-IL runs keep the cone
+        assert_group_runs_match_the_oracle(g, params, y)
+    return {kind for kind, ok in batch_calls if ok is True}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # gamma = 1 diverges
 @pytest.mark.parametrize("k", [4, 2])
 def test_group_runs_match_the_oracle(k, batch_calls, monkeypatch):
     """At the size threshold, and at two members with the threshold
     lowered and a group called as soon as one member is due."""
-    if k < GROUP_MIN:
-        monkeypatch.setattr(pc, "GROUP_MIN", k)
-        monkeypatch.setattr(pc, "_MIN_DUE", 1)
-    for seed in range(2):
-        g, params, y = ladder(k, seed)
-        assert_group_runs_match_the_oracle(g, params, y)
-    batched = {kind for kind, ok in batch_calls if ok is True}
-    assert batched == {kind for kind, rule in fns.KINDS.items() if rule.batch}
+    assert batched_ladder_kinds(k, False, batch_calls, monkeypatch) == \
+        {kind for kind, rule in fns.KINDS.items() if rule.batch}
 
 
-def test_scalar_activations_are_left_out_of_their_group(batch_calls):
-    """Four scalar tanh vertices apply one rule, but a 0-d activation
-    has no batch form (``Batch.scalars``), so the step plan makes no
-    group of them and each runs per vertex."""
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # gamma = 1 diverges
+@pytest.mark.parametrize("k", [4, 2])
+def test_scalar_group_runs_match_the_oracle(k, batch_calls, monkeypatch):
+    """The 0-d ladder: every componentwise kind batches 0-d rows with
+    the oracle's bytes, the tanh, logistic and identity activations
+    each in a group of its own."""
+    names = []
+    predict = pc._Group.predict
+
+    def named(grp, *args):
+        ok = predict(grp, *args)
+        names.append((grp.fn.name, ok))
+        return ok
+
+    monkeypatch.setattr(pc._Group, "predict", named)
+    assert batched_ladder_kinds(k, True, batch_calls, monkeypatch) == \
+        {kind for kind, rule in fns.KINDS.items()
+         if rule.batch and not rule.batch.stack}
+    assert {name for name, ok in names if ok is True} >= \
+        set(fns.ACTIVATION_NAMES)
+
+
+def test_scalar_activations_form_a_group(batch_calls):
+    """Four scalar tanh vertices apply one rule, so the step plan makes
+    a group of them, whose batch calls keep the oracle's bytes."""
     b = GraphBuilder()
     params = {}
     tops = []
@@ -602,8 +637,8 @@ def test_scalar_activations_are_left_out_of_their_group(batch_calls):
         tops.append(b.vertex(fns.activation("tanh"), [m]))
     g = b.build(b.vertex(fns.add(GROUP_MIN), tops))
     assert_group_runs_match_the_oracle(g, params, target(g, params))
-    assert g._steps is not None and g._steps.groups == ()
-    assert batch_calls == []
+    assert [grp.members for grp in g._steps.groups] == [frozenset(tops)]
+    assert (fns.FnKind.ACTIVATION, True) in batch_calls
 
 
 def test_the_step_plan_is_kept_per_graph_and_value_shapes(batch_calls):
@@ -768,10 +803,10 @@ def test_later_steps_pull_only_vertices_with_an_internal_child(monkeypatch):
         pulled.append(vid)
         return pull_back(g, vid, *args)
 
-    def counted_group(grp, live, *args):
-        ok = group_pull(grp, live, *args)
+    def counted_group(grp, *args):
+        ok = group_pull(grp, *args)
         if ok:
-            pulled.extend(grp.members[:live])
+            pulled.extend(grp.members)
         return ok
 
     monkeypatch.setattr(pc, "pull_back", counted)

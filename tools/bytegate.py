@@ -17,8 +17,10 @@ exception's type and message with its ``vertex``, ``path`` or ``ids``.
 The corpus:
 
 - models: every family of the zoo x tanh/identity/logistic x seeds 0-3,
-  ``rnn(13,4,8)`` at seeds 0-1 and ``random_graph`` seeds 0-119; each
-  as built and levelled, with its params as given and scaled by 1e160;
+  ``rnn(13,4,8)`` at seeds 0-1, a 0-d ladder (four logistic(tanh(w*x))
+  chains of 0-d values, summed) at seeds 0-3 and ``random_graph`` seeds
+  0-119; each as built and levelled, with its params as given and
+  scaled by 1e160;
 - runs per model: BP (delta, updates, per-leaf deltas, loss); Z-IL,
   both variants, untraced and traced (updates and snapshots); the three
   ablations; IL at T = 1, 5 and 20; and, per graph, ``level()``'s
@@ -46,6 +48,7 @@ SCALES = (1.0, 1e160)
 ACTIVATIONS = ("tanh", "identity", "logistic")
 FAMILY_SEEDS = 4
 DEEP_RNN_SEEDS = 2
+LADDER_SEEDS = 4
 RANDOM_SEEDS = 120
 INVALID_SEEDS = 300
 
@@ -107,10 +110,29 @@ def cases(pg):
     for seed in range(DEEP_RNN_SEEDS):
         spec = pg.ModelSpec("rnn", (13, 4, 8), "tanh", seed)
         yield f"rnn13x4x8/{seed}", lambda s=spec: family(s)
+    for seed in range(LADDER_SEEDS):
+        yield f"ladder0d/{seed}", lambda s=seed: ladder0d(pg, s)
     for seed in range(RANDOM_SEEDS):
         yield f"random/{seed}", lambda s=seed: pg.random_graph(s)
     for seed in range(INVALID_SEEDS):
         yield f"invalid/{seed}", lambda s=seed: mutated(pg, s)
+
+
+def ladder0d(pg, seed: int):
+    """Four logistic(tanh(w * x)) chains of 0-d values under one sum:
+    the step engine groups the four tanh and the four logistic
+    vertices."""
+    rng = np.random.default_rng(seed)
+    fns, b = pg.functions, pg.GraphBuilder()
+    params, tops = {}, []
+    for _ in range(4):
+        w, x = b.leaf(), b.leaf(trainable=False)
+        params[w], params[x] = map(np.asarray, rng.uniform(-2.0, 2.0, 2))
+        m = b.vertex(fns.multiply(), [w, x])
+        tops.append(b.vertex(fns.activation("logistic"), [
+            b.vertex(fns.activation("tanh"), [m])]))
+    g = b.build(b.vertex(fns.add(len(tops)), tops))
+    return g, params, pg.forward(g, params).output_value(g) + 0.5
 
 
 def mutated(pg, seed: int):

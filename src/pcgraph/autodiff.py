@@ -75,8 +75,9 @@ def pull_back(g: Graph, vid: VertexId, values: Mapping[VertexId, Array],
     """Pull ``upstream`` back through vertex ``vid`` onto its child ``slots``.
 
     One entry per child slot, None where a slot is not asked for (see
-    :meth:`ElemFn.vjp`).  The step engine calls this once per parent
-    and reads the results through :func:`arriving`.
+    :meth:`ElemFn.vjp`).  :func:`pull_onto` and
+    :func:`pc.inference_step` call this once per parent and read the
+    results through :func:`arriving`.
     """
     v = g.vertices[vid]
     try:

@@ -13,9 +13,10 @@ shapes.
 Validation lives in one place, :meth:`ElemFn.check`: the arity, the
 float64 coercion and the kind's shape rule.  A run checks each vertex
 once, in the forward pass that starts it; every later value keeps its
-forward shape, so ``__call__`` and ``vjp`` are the bare kind rules and
-their callers vouch for inputs that ``check`` accepted (or values of
-the same shapes).  A kind's value checks, such as ``sqrt``'s domain,
+forward shape, so ``__call__`` and ``vjp`` run the bare kind rules of
+:data:`KINDS`, which the step engine also calls directly, and their
+callers vouch for inputs that ``check`` accepted (or values of the same
+shapes).  A kind's value checks, such as ``sqrt``'s domain,
 stay in its rules and run on every call and every pull.
 """
 
@@ -140,9 +141,9 @@ class KindRule(NamedTuple):
     """What one kind computes.
 
     ``arity`` is the fixed input count, or None for a variadic kind
-    (at least two inputs).  ``forward(fn, ins)`` and
-    ``vjp(fn, ins, upstream, want)`` receive inputs that ``check``
-    accepted, or values of the same shapes; ``vjp``
+    (at least two inputs).  ``forward(fn, ins, out=None)`` and
+    ``vjp(fn, ins, upstream, want, out=None)`` receive inputs that
+    ``check`` accepted, or values of the same shapes; ``vjp``
     computes the pulls onto the slots in ``want`` and None for the
     others, and a one-input kind computes its one pull regardless.
     ``check(fn, ins)`` rejects input shapes the kind cannot take; it
@@ -150,20 +151,26 @@ class KindRule(NamedTuple):
     ``batch`` is the same math on many vertices in one call
     (:class:`Batch`), or None for a kind that runs per vertex only.
 
-    Neither ``forward`` nor ``vjp`` returns an array that shares memory
-    with an input or with ``upstream`` (so ``identity`` and ``add``
-    copy): the step engine hands them views of buffers that it writes
-    in place later, and keeps what they return.  Each requested slot's
-    pull is its own array, shared with no other slot's either (so
-    ``add`` copies once per slot): a trainable leaf that gets one pull
-    takes it as its signal and writes its ``+ 0.0`` and its learning
-    rate into it in place.
+    ``out`` follows NumPy's convention.  Given a float64 array shaped
+    like the result (for ``vjp``, a tuple with one array or None per
+    slot), a rule writes the result into it and returns ``out`` itself;
+    given none, it allocates.  The bytes are the same either way.  The
+    caller vouches that ``out`` never overlaps an input or ``upstream``:
+    the step engine writes its predictions and pulls straight into
+    buffers that no rule reads from.
+
+    Neither rule returns an array that shares memory with an input or
+    with ``upstream`` (so ``identity`` and ``add`` copy): the caller
+    may write an input in place later and keep what a rule returned.
+    Each requested slot's pull is its own array, shared with no other
+    slot's either (so ``add`` copies once per slot): a trainable leaf
+    that gets one pull takes it as its signal and writes its ``+ 0.0``
+    and its learning rate into it in place.
     """
 
     arity: int | None
-    forward: Callable[[ElemFn, tuple[Array, ...]], Array]
-    vjp: Callable[[ElemFn, tuple[Array, ...], Array, Collection[int]],
-                  tuple[Array | None, ...]]
+    forward: Callable[..., Array]
+    vjp: Callable[..., tuple[Array | None, ...]]
     check: Callable[[ElemFn, tuple[Array, ...]], None] | None = None
     batch: Batch | None = None
 
@@ -174,18 +181,39 @@ def _componentwise(arity, forward, vjp, check=None) -> KindRule:
     return KindRule(arity, forward, vjp, check, Batch(False, forward, vjp))
 
 
-def _sqrt(fn, ins):
+def _into(out: Array | None, value) -> Array:
+    """``value``, written into ``out`` where one is given."""
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
+def _copy(a: Array, out: Array | None) -> Array:
+    """A copy of ``a``: into ``out``, or a new array."""
+    return a.copy() if out is None else _into(out, a)
+
+
+def _product(first: Array, factors: Sequence[Array],
+             out: Array | None) -> Array:
+    """``first`` times each of ``factors`` in turn, the last product
+    written into ``out``."""
+    return np.multiply(reduce(np.multiply, factors[:-1], first), factors[-1],
+                       out=out)
+
+
+def _sqrt(fn, ins, out=None):
     x = ins[0]
     if np.any(x < 0):
         raise DomainError(float(np.min(x)))
-    return np.sqrt(x)
+    return np.sqrt(x, out=out)
 
 
-def _sqrt_vjp(fn, ins, u, want):
+def _sqrt_vjp(fn, ins, u, want, out=None):
     x = ins[0]
     if np.any(x <= 0):
         raise DomainError(float(np.min(x)))
-    return (u / (2.0 * np.sqrt(x)),)
+    return (_into(out and out[0], u / (2.0 * np.sqrt(x))),)
 
 
 def _same_shapes(fn, ins):
@@ -211,13 +239,13 @@ def _convolve1d_shapes(fn, ins):
         )
 
 
-def _logistic(x: Array) -> Array:
+def _logistic(x: Array, out: Array | None = None) -> Array:
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        return np.divide(1.0, 1.0 + np.exp(-x), out=out)
 
 
 _activations = {
-    "identity": lambda x: x.copy(),
+    "identity": _copy,
     "tanh": np.tanh,
     "logistic": _logistic,
 }
@@ -230,32 +258,46 @@ _activation_derivs = {
     "logistic": lambda x: _logistic(x) * (1.0 - _logistic(x)),
 }
 
+
+def _sum_reduce_vjp(fn, ins, u, want, out=None):
+    o = out and out[0]
+    return (np.full_like(ins[0], float(u)) if o is None
+            else _into(o, float(u)),)
+
+
 # Where two inputs, or an input and the upstream, are added or multiplied,
 # the ufuncs do it: between two NumPy scalars ``+`` and ``*`` return the
 # second of two NaN operands where an array operation returns the first,
-# so a scalar vertex would give other NaN bits than a 0-d array one.
+# so a scalar vertex would give other NaN bits than a 0-d array one.  A
+# variadic fold writes only its last step into ``out``: a 0-d ufunc whose
+# ``out`` is its first input keeps the second of two NaNs.
+# ``out and out[s]`` is slot s's array to write, or None.
 KINDS: dict[FnKind, KindRule] = {
     FnKind.CONSTANT: KindRule(
-        0, lambda fn, ins: as_f64(fn.value), lambda fn, ins, u, want: ()),
+        0, lambda fn, ins, out=None: _into(out, as_f64(fn.value)),
+        lambda fn, ins, u, want, out=None: ()),
     FnKind.ADD: _componentwise(
-        None, lambda fn, ins: reduce(np.add, ins),
-        lambda fn, ins, u, want: tuple([u.copy() if s in want else None
-                                        for s in range(len(ins))]),
+        None, lambda fn, ins, out=None: np.add(
+            reduce(np.add, ins[:-1]), ins[-1], out=out),
+        lambda fn, ins, u, want, out=None: tuple([
+            _copy(u, out and out[s]) if s in want else None
+            for s in range(len(ins))]),
         _same_shapes),
     FnKind.MULTIPLY: _componentwise(
-        None, lambda fn, ins: reduce(np.multiply, ins),
+        None, lambda fn, ins, out=None: _product(ins[0], ins[1:], out),
         # each slot's pull is upstream times every other input
-        lambda fn, ins, u, want: tuple([
-            reduce(np.multiply, ins[:s] + ins[s + 1:], u) if s in want else None
-            for s in range(len(ins))]),
+        lambda fn, ins, u, want, out=None: tuple([
+            _product(u, ins[:s] + ins[s + 1:], out and out[s])
+            if s in want else None for s in range(len(ins))]),
         _same_shapes),
     # ins = (weights, vector).  Stacked, one np.matmul runs the k
     # products; it gives each one's bytes, where a single gemm of the
     # vectors against the weights need not.
     FnKind.MATVEC: KindRule(
-        2, lambda fn, ins: ins[0] @ ins[1],
-        lambda fn, ins, u, want: (np.outer(u, ins[1]) if 0 in want else None,
-                                  ins[0].T @ u if 1 in want else None),
+        2, lambda fn, ins, out=None: np.matmul(ins[0], ins[1], out=out),
+        lambda fn, ins, u, want, out=None: (
+            np.outer(u, ins[1], out and out[0]) if 0 in want else None,
+            np.matmul(ins[0].T, u, out=out and out[1]) if 1 in want else None),
         _matvec_shapes,
         Batch(True,
               lambda fn, ins: np.matmul(ins[0], ins[1][..., None])[..., 0],
@@ -265,25 +307,30 @@ KINDS: dict[FnKind, KindRule] = {
                   np.matmul(np.swapaxes(ins[0], -1, -2), u[..., None])[..., 0]
                   if 1 in want else None))),
     FnKind.SQUARE: _componentwise(
-        1, lambda fn, ins: ins[0] * ins[0],
-        lambda fn, ins, u, want: (np.multiply(2.0 * ins[0], u),)),
+        1, lambda fn, ins, out=None: np.multiply(ins[0], ins[0], out=out),
+        lambda fn, ins, u, want, out=None: (
+            np.multiply(2.0 * ins[0], u, out=out and out[0]),)),
     FnKind.SQRT: _componentwise(1, _sqrt, _sqrt_vjp),
     FnKind.ACTIVATION: _componentwise(
-        1, lambda fn, ins: _activations[fn.name](ins[0]),
-        lambda fn, ins, u, want: (
-            np.multiply(_activation_derivs[fn.name](ins[0]), u),)),
+        1, lambda fn, ins, out=None: _activations[fn.name](ins[0], out),
+        lambda fn, ins, u, want, out=None: (np.multiply(
+            _activation_derivs[fn.name](ins[0]), u, out=out and out[0]),)),
     # ins = (kernel, signal)
     FnKind.CONVOLVE1D: KindRule(
-        2, lambda fn, ins: np.correlate(ins[1], ins[0], mode="valid"),
-        lambda fn, ins, u, want: (
-            np.correlate(ins[1], u, mode="valid") if 0 in want else None,
-            np.convolve(u, ins[0], mode="full") if 1 in want else None),
+        2, lambda fn, ins, out=None: _into(
+            out, np.correlate(ins[1], ins[0], mode="valid")),
+        lambda fn, ins, u, want, out=None: (
+            _into(out and out[0], np.correlate(ins[1], u, mode="valid"))
+            if 0 in want else None,
+            _into(out and out[1], np.convolve(u, ins[0], mode="full"))
+            if 1 in want else None),
         _convolve1d_shapes),
     FnKind.IDENTITY: _componentwise(
-        1, lambda fn, ins: ins[0].copy(), lambda fn, ins, u, want: (u.copy(),)),
+        1, lambda fn, ins, out=None: _copy(ins[0], out),
+        lambda fn, ins, u, want, out=None: (_copy(u, out and out[0]),)),
     FnKind.SUM_REDUCE: KindRule(
-        1, lambda fn, ins: as_f64(ieee_sum(ins[0])),
-        lambda fn, ins, u, want: (np.full_like(ins[0], float(u)),)),
+        1, lambda fn, ins, out=None: _into(out, as_f64(ieee_sum(ins[0]))),
+        _sum_reduce_vjp),
 }
 
 

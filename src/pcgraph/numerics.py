@@ -226,8 +226,8 @@ def fsum_arrays(terms: Sequence[Array]) -> Array:
     One or two terms take one array addition, which is already correctly
     rounded; ``+ 0.0`` turns a -0.0 sum into 0.0 as ``math.fsum`` does.
     More terms, and a non-finite two-term result, take ``math.fsum``
-    once per column of one list of columns; a correctly rounded sum has
-    one value, so these are :func:`exact_sum`'s bits.  Only where that
+    once per column, zipped from each term's list of floats; a correctly
+    rounded sum has one value, so these are :func:`exact_sum`'s bits.  Only where that
     raises does the per-component loop of :func:`exact_sum` run, where
     an exact sum beyond the float range and inf - inf raise
     :class:`NonFiniteSum`.
@@ -243,12 +243,15 @@ def fsum_arrays(terms: Sequence[Array]) -> Array:
             out = as_f64((first + second) + 0.0)
             if np.isfinite(out).all():
                 return out
-    flat = np.stack([as_f64(t) for t in terms]).reshape(len(terms), -1)
+    arrays = [as_f64(t) for t in terms]
+    if any(a.shape != first.shape for a in arrays):
+        raise ValueError("fsum_arrays needs terms of one shape")
+    rows = [a.ravel().tolist() for a in arrays]
     try:
         try:
-            out = np.array([math.fsum(column) for column in flat.T.tolist()])
+            out = np.array([math.fsum(column) for column in zip(*rows)])
         except (OverflowError, ValueError):
-            out = np.array([_exact_sum(column) for column in flat.T])
+            out = np.array([_exact_sum(column) for column in np.array(rows).T])
     except (OverflowError, ValueError) as exc:
         raise NonFiniteSum(f"exact sum failed: {exc}") from None
     return out.reshape(first.shape)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from typing import Mapping, NamedTuple
 
@@ -44,7 +45,7 @@ from .autodiff import (_leaf_sum, _read_only, arriving, check_real,
                        evaluate, forward, pull_back, pull_onto,
                        reverse_sweep, scalar_output)
 from .errors import DomainError, GraphError, NonFiniteSum, NotLevelled
-from .functions import KINDS, Batch, ElemFn
+from .functions import KINDS, Batch, ElemFn, KindRule
 from .graph import Graph, VertexId, level_structure
 from .numerics import (Array, all_finite, as_f64, fsum_arrays,
                        is_finite_real, is_integer, sum_of_squares)
@@ -53,9 +54,10 @@ from .report import UpdateReport, make_report
 
 # Fewest vertices that the step engine runs as one group, and fewest
 # due members for which it calls one.  A group call costs about what
-# three vertex calls cost (measured on levelled rnn(T,4,8) for T = 4..13
-# and on the zoo-desk models, in process), so it runs only where three
-# or more members are due, and a group of fewer than four saves nothing.
+# four bound vertex calls cost (median 4.3, quartiles 2.5-4.9, over the
+# groups of levelled rnn(T,4,8) for T = 4..13 and of the zoo-desk models,
+# in process), yet thresholds of (4, 4), (5, 4) and (6, 5) ran deep-rnn
+# IL and its verdict no faster than these, in alternating rounds.
 GROUP_MIN = 4
 _MIN_DUE = 3
 _NEG_ZERO = np.float64(-0.0).view(np.int64)  # -0.0's bits
@@ -266,9 +268,27 @@ class _Group(NamedTuple):
         return True
 
 
+class _Row(NamedTuple):
+    """What the step plan holds of one internal vertex: its kind's rules
+    (a :data:`functions.KINDS` row) and function, its children, its
+    ``slots`` that hold an internal child, per child slot the index in
+    ``_StepPlan.lands`` of its pull (-1 for a leaf's), its parents, and
+    the indices in ``lands`` of the pulls arriving at it, in (parent,
+    slot) order."""
+
+    rule: KindRule
+    fn: ElemFn
+    kids: tuple[VertexId, ...]
+    slots: tuple[int, ...]
+    onto: tuple[int, ...]
+    parents: tuple[VertexId, ...]
+    arrive: tuple[int, ...]
+
+
 class _StepPlan(NamedTuple):
     """Where the step engine keeps the values of a graph whose vertex v
-    holds values of shape ``shapes[v]`` (:func:`_step_plan`).
+    holds values of shape ``shapes[v]`` (:func:`_step_plan`), and what it
+    runs on them.
 
     X, MU and EPS hold the internal vertices in ``order``: those with
     one arriving term (one (parent, slot) entry in ``g.parents``), then
@@ -280,9 +300,12 @@ class _StepPlan(NamedTuple):
     pull arriving at each one-term vertex where its x sits, in its
     first ``n_single``, then one per edge into a several-term vertex;
     ``lands`` holds each edge into an internal vertex with its part of
-    PULL and its pull's shape.  ``relaxed`` holds the
-    relaxed vertices whose value has a component, and ``heads`` where
-    in X each starts; both are read-only.  ``groups`` are the
+    PULL and its pull's shape.  ``rows`` holds each internal vertex's
+    :class:`_Row`, ascending; ``first`` the vertices with children,
+    which step 0 pulls, and ``later`` those with an internal child,
+    which a later step pulls where its eps changed.  ``relaxed`` holds
+    the relaxed vertices whose value has a component, and ``heads``
+    where in X each starts; both are read-only.  ``groups`` are the
     :class:`_Group` plans of :data:`GROUP_MIN` or more members, and
     ``grouped`` their members.
     """
@@ -296,6 +319,9 @@ class _StepPlan(NamedTuple):
     n_pull: int
     lands: tuple[tuple[tuple[VertexId, int], slice, tuple[int, ...]], ...]
     several: tuple[VertexId, ...]
+    rows: dict[VertexId, _Row]
+    first: tuple[VertexId, ...]
+    later: frozenset[VertexId]
     relaxed: Array
     heads: Array
     groups: tuple[_Group, ...]
@@ -341,7 +367,7 @@ def _step_plan(g: Graph, shapes: tuple[tuple[int, ...], ...]) -> _StepPlan:
         for edge in g.parents[v]:
             lands.append((edge, slice(end, end + size), shapes[v]))
             end += size
-    at = {edge: where for edge, where, _shape in lands}
+    at = {edge: i for i, (edge, _where, _shape) in enumerate(lands)}
     positions = np.arange(max(sum(sizes), end))
 
     def group(members: list[VertexId]) -> _Group:
@@ -358,15 +384,23 @@ def _step_plan(g: Graph, shapes: tuple[tuple[int, ...], ...]) -> _StepPlan:
             tuple(laid([span[vs[m].children[s]] for m in members], shapes[c])
                   for s, c in enumerate(first.children)),
             laid([span[m] for m in members], shapes[members[0]]),
-            tuple(laid([at[m, s] for m in members],
+            tuple(laid([lands[at[m, s]][1] for m in members],
                        shapes[first.children[s]])
                   for s in slots[members[0]]))
 
+    rows = {v: _Row(KINDS[vs[v].fn.kind], vs[v].fn, vs[v].children, slots[v],
+                    tuple(at.get((v, s), -1)
+                          for s in range(len(vs[v].children))),
+                    tuple({p: None for p, _slot in g.parents[v]}),
+                    tuple(at[edge] for edge in g.parents[v]))
+            for v in g.internal_ids}
     relaxed = [v for v, size in zip(order[:-1], sizes) if size]
     groups = tuple(map(group, kept))
     g._steps = _StepPlan(
         shapes, order, fed, span, n_single, span[g.output].start, end,
-        tuple(lands), several, _index(relaxed),
+        tuple(lands), several, rows,
+        tuple(v for v in g.internal_ids if vs[v].children),
+        frozenset(v for v in g.internal_ids if slots[v]), _index(relaxed),
         _index([span[v].start for v in relaxed]), groups,
         frozenset().union(*(grp.members for grp in groups)))
     return g._steps
@@ -391,21 +425,25 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     float64 buffers, and a fourth holds the arriving pulls, laid out by
     the graph's step plan for the run's value shapes (:func:`_step_plan`,
     built on a graph's first run and reused while the shapes hold); the
-    per-vertex values are reshaped views of them.  A step is a few
-    whole-buffer operations: ``(pull - eps) + 0.0``, ``x + gamma *
-    step``, the output and the vertices outside the region held at
-    their x, a byte compare of old and new x per vertex (so a -0.0 that
-    becomes 0.0 is a move), and eps = x - mu.  The rule is a pure
-    function, so only what a move reaches is recomputed: a prediction
-    when a child's value moved and a pull when its vertex's eps may have
-    changed; the exact sum of every several-term vertex in the region is
-    taken at every step (of the model zoo, only ``residual`` and
-    ``attention`` have such a vertex, one each).  Where a step is not
-    finite, :func:`relax` runs per vertex in ascending id, so it raises
-    where and as the rule does.  There a 0-d x that started as a NumPy
-    scalar, or has moved (the rule returns one), is passed as a scalar,
-    because between two NaN operands a scalar ``+`` keeps another NaN
-    than an array one does.
+    per-vertex values are reshaped views of them.  A run binds each
+    vertex's kind rules (its :class:`_Row`) once to the views of its
+    children's values, its mu and eps and its pulls, and a step calls
+    them bare: each writes its prediction or pulls straight into the
+    buffers (the rules' ``out``), and a ``DomainError`` is raised at the
+    vertex whose rule raised.  A step is then a few whole-buffer
+    operations: ``(pull - eps) + 0.0``, ``x + gamma * step``, the output
+    and the vertices outside the region held at their x, a byte compare
+    of old and new x per vertex (so a -0.0 that becomes 0.0 is a move),
+    and eps = x - mu.  The rule is a pure function, so only what a move
+    reaches is recomputed: a prediction when a child's value moved and a
+    pull when its vertex's eps may have changed; the exact sum of every
+    several-term vertex in the region is taken at every step (of the
+    model zoo, only ``residual`` and ``attention`` have such a vertex,
+    one each).  Where a step is not finite, :func:`relax` runs per
+    vertex in ascending id, so it raises where and as the rule does.
+    There a 0-d x that started as a NumPy scalar, or has moved (the rule
+    returns one), is passed as a scalar, because between two NaN
+    operands a scalar ``+`` keeps another NaN than an array one does.
 
     Predictions and pulls run per group of the plan where that pays:
     where three or more members of a group are due, one batch call
@@ -430,7 +468,8 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     """
     values = {**state.params, **state.x}  # what every vertex presents
     plan = _step_plan(g, tuple(values[v].shape for v in range(len(g))))
-    span, shapes, several = plan.span, plan.shapes, plan.several
+    span, shapes, several, rows = plan.span, plan.shapes, plan.several, \
+        plan.rows
     X = np.concatenate([values[v] for v in (*plan.order, *plan.fed)],
                        axis=None)
     MU, EPS = (np.concatenate([part[v] for v in plan.order], axis=None)
@@ -451,9 +490,15 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
     mu = {v: view(MU, v) for v in state.x}
     eps = {v: view(EPS, v) for v in state.x}
     values.update(x)
-    into = {edge: PULL[where].reshape(shape)
-            for edge, where, shape in plan.lands}
-    slots = g.internal_slots
+    pulls = [PULL[where].reshape(shape) for _edge, where, shape in plan.lands]
+    pulls.append(None)  # a leaf's slot, -1 in a row's ``onto``
+    predict, pull = {}, {}  # each vertex's rules, bound to its views
+    for v in plan.first:
+        row = rows[v]
+        ins = tuple([values[c] for c in row.kids])
+        predict[v] = partial(row.rule.forward, row.fn, ins, mu[v])
+        pull[v] = partial(row.rule.vjp, row.fn, ins, eps[v], row.slots,
+                          tuple([pulls[i] for i in row.onto]))
     sums = {v: view(STEP, v) for v in several}
     frozen = np.zeros(n_relaxed, dtype=bool)  # left the region
     # The 0-d values the rule would hold as NumPy scalars: those that
@@ -493,12 +538,13 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
         last = t == schedule.steps - 1
         if last and t > 0:
             break
-        pulled = sorted(p for p in changed
-                        if slots[p] or not t and g.vertices[p].children)
-        for p in batched(pulled, lambda grp: grp.pull(X, EPS, PULL)):
-            back = pull_back(g, p, values, eps[p], slots[p])
-            for s in slots[p]:
-                into[p, s][...] = back[s]
+        pulled = sorted(changed.intersection(plan.later)) if t \
+            else plan.first
+        try:
+            for p in batched(pulled, lambda grp: grp.pull(X, EPS, PULL)):
+                pull[p]()
+        except DomainError as err:
+            raise err.at_vertex(p) from None
         if last:  # a one-step run pulls only for backprop's domain checks
             break
         if cone is not None:
@@ -513,7 +559,7 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
             for v in several:
                 if v in x:
                     sums[v][...] = fsum_arrays(
-                        [-eps[v], *(into[edge] for edge in g.parents[v])])
+                        [-eps[v], *(pulls[i] for i in rows[v].arrive)])
         except NonFiniteSum:
             finite = False
         else:
@@ -523,12 +569,12 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
             np.add(XR, NEW, out=NEW)
         else:
             np.copyto(NEW, XR)
-            stale = changed.union(*({g.vertices[p].children[s]
-                                     for s in slots[p]} for p in pulled))
+            stale = changed.union(*({rows[p].kids[s] for s in rows[p].slots}
+                                    for p in pulled))
             for v in sorted(stale.intersection(x).difference([g.output])):
                 view(NEW, v)[...] = relax(x[v][()] if v in scalars else x[v],
-                                          eps[v], [into[edge] for edge
-                                                   in g.parents[v]],
+                                          eps[v], [pulls[i] for i
+                                                   in rows[v].arrive],
                                           schedule.gamma)
         if cone is not None:
             np.copyto(NEW, XR, where=frozen)
@@ -538,10 +584,13 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
                  .tolist() if np.count_nonzero(differs) else [])
         np.copyto(XR, NEW)
         scalars.update(moved)
-        evaluated = sorted({p for v in moved for p, _slot in g.parents[v]
+        evaluated = sorted({p for v in moved for p in rows[v].parents
                             if p in mu})
-        for v in batched(evaluated, lambda grp: grp.predict(X, MU)):
-            mu[v][...] = evaluate(g, v, values)
+        try:
+            for v in batched(evaluated, lambda grp: grp.predict(X, MU)):
+                predict[v]()
+        except DomainError as err:
+            raise err.at_vertex(v) from None
         np.subtract(XI, MU, out=EPS)
         changed = set(moved).union(evaluated)
         for live, region, fresh in zip((x, mu, eps), shown,
@@ -549,6 +598,7 @@ def relax_schedule(g: Graph, state: PCState, lr: float,
             for v in fresh:
                 region[v] = live[v].copy()
     return per_leaf, tuple(snapshots)
+
 
 @dataclass(frozen=True)
 class ZilTrace:

@@ -11,6 +11,7 @@ from pcgraph import functions as fns
 from pcgraph.autodiff import forward
 from pcgraph.errors import ArityMismatch, DomainError, ShapeMismatch
 from pcgraph.graph import GraphBuilder
+from pcgraph.numerics import as_f64
 
 from oracles import complex_step_jvp, holomorphic_forward
 
@@ -322,6 +323,53 @@ def test_kind_rules_return_arrays_that_share_no_memory(fn, shapes, out_shape):
                 assert not np.shares_memory(result, view)
     for i, j in itertools.combinations(range(len(pulls)), 2):
         assert not np.shares_memory(pulls[i], pulls[j])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, 0 * inf
+@pytest.mark.parametrize("fn, shapes, out_shape", _alias_cases())
+def test_kind_rules_write_into_out_the_bytes_they_return(fn, shapes,
+                                                          out_shape):
+    """Given ``out``, a kind's rule writes its result there and returns
+    ``out`` itself, with the bytes it returns when it allocates: NaN
+    bits of either sign, infinities, signed zeros and 0-d values
+    included, and the same ``DomainError`` where it raises."""
+    rule = fns.KINDS[fn.kind]
+    rng = np.random.default_rng(0)
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+    def value(shape):
+        v = rng.standard_normal(shape)
+        odd = rng.random(shape) < 0.3
+        return np.where(odd, rng.choice(specials, shape), v)
+
+    def outcome(call):
+        try:
+            return call()
+        except DomainError as err:
+            return str(err)
+
+    for _trial in range(200):
+        ins = [value(shape) for shape in shapes]
+        upstream = value(out_shape)
+        out = np.full(out_shape, 7.0)
+        got = outcome(lambda: rule.forward(fn, ins, out))
+        want = outcome(lambda: rule.forward(fn, ins))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got is out and got.tobytes() == as_f64(want).tobytes()
+        wanted = {tuple(range(fn.arity)), (0,), (fn.arity - 1,)} \
+            if fn.arity else ()
+        for slots in wanted:
+            outs = tuple(np.full(shape, 7.0) for shape in shapes)
+            got = outcome(lambda: rule.vjp(fn, ins, upstream, slots, outs))
+            want = outcome(lambda: rule.vjp(fn, ins, upstream, slots))
+            if isinstance(want, str):
+                assert got == want
+                continue
+            for s in slots:
+                assert got[s] is outs[s]
+                assert got[s].tobytes() == want[s].tobytes(), (slots, s)
 
 
 # -- batch rules ----------------------------------------------------------

@@ -10,10 +10,12 @@ step.  Bytes are compared through ``.tobytes()``, because
 ``np.array_equal`` treats -0.0 and 0.0 as equal.
 """
 
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pcgraph import functions as fns
 from pcgraph import pc
@@ -343,16 +345,22 @@ def test_a_run_keeps_its_bytes_while_later_runs_relax():
 
 @pytest.fixture
 def vjp_calls(monkeypatch):
-    """The kinds of every ``ElemFn.vjp`` call made, in order."""
+    """Per call of a kind's vjp rule, in order: the kind, and whether the
+    step engine made it, which alone hands the rule buffers as ``out``.
+    The rows of ``KINDS`` are patched before the test builds its graphs,
+    so the step plans bind the counted rules; ``ElemFn.vjp`` calls them
+    too."""
     calls = []
-    vjp = fns.ElemFn.vjp
-
-    def counted(self, *args, **kwargs):
-        calls.append(self.kind)
-        return vjp(self, *args, **kwargs)
-
-    monkeypatch.setattr(fns.ElemFn, "vjp", counted)
+    for kind, rule in list(fns.KINDS.items()):
+        def counted(fn, ins, u, want, out=None, _vjp=rule.vjp):
+            calls.append((fn.kind, out is not None))
+            return _vjp(fn, ins, u, want, out)
+        monkeypatch.setitem(fns.KINDS, kind, rule._replace(vjp=counted))
     return calls
+
+
+def by_the_step_engine(calls):
+    return sum(engine for _kind, engine in calls)
 
 
 def test_a_traced_deep_recurrent_run_costs_a_few_reverse_passes(vjp_calls):
@@ -364,6 +372,7 @@ def test_a_traced_deep_recurrent_run_costs_a_few_reverse_passes(vjp_calls):
     zil_train_step(g, params, y, LR)
     assert bp_calls == 54
     assert len(vjp_calls) < 3 * bp_calls
+    assert by_the_step_engine(vjp_calls) > 0
 
 
 def test_inference_learning_pulls_only_where_an_input_moved(vjp_calls):
@@ -372,9 +381,11 @@ def test_inference_learning_pulls_only_where_an_input_moved(vjp_calls):
     y = target(lg, params)
     relax_every_step(lg, params, y, LR, il_schedule(lg, 0.1, 100), 0.0)
     oracle_calls = len(vjp_calls)
+    assert by_the_step_engine(vjp_calls) == 0
     vjp_calls.clear()
     il_train_step(lg, params, y, LR, 0.1, 100)
     assert len(vjp_calls) < 0.65 * oracle_calls
+    assert by_the_step_engine(vjp_calls) > 0
 
 
 def sqrt_below_the_wavefront():
@@ -791,17 +802,30 @@ def test_a_batch_that_leaves_the_domain_raises_at_the_lowest_id(batch_calls):
         assert kind is fns.FnKind.SQRT and message != str(err.value)
 
 
+def spy_on_bound_pulls(monkeypatch, g, pulled):
+    """Give ``g``'s step plan, built by a run, rows whose vjp rule
+    records its vertex in ``pulled`` when the step engine calls it (with
+    buffers as ``out``); a run at the same value shapes keeps the plan."""
+    def spy(v, vjp):
+        def call(fn, ins, u, want, out=None):
+            if out is not None:
+                pulled.append(v)
+            return vjp(fn, ins, u, want, out)
+        return call
+
+    plan = g._steps
+    rows = {v: row._replace(rule=row.rule._replace(vjp=spy(v, row.rule.vjp)))
+            for v, row in plan.rows.items()}
+    monkeypatch.setattr(g, "_steps", plan._replace(rows=rows))
+
+
 def test_later_steps_pull_only_vertices_with_an_internal_child(monkeypatch):
     """Nothing reads a pull onto a leaf: after step 0, which pulls every
     vertex for backprop's domain checks, a vertex whose children are all
     leaves is not pulled again.  Such a vertex is never a group's
     member; a group call counts as a pull of each member it writes."""
     pulled = []
-    pull_back, group_pull = pc.pull_back, pc._Group.pull
-
-    def counted(g, vid, *args):
-        pulled.append(vid)
-        return pull_back(g, vid, *args)
+    group_pull = pc._Group.pull
 
     def counted_group(grp, *args):
         ok = group_pull(grp, *args)
@@ -809,7 +833,6 @@ def test_later_steps_pull_only_vertices_with_an_internal_child(monkeypatch):
             pulled.extend(grp.members)
         return ok
 
-    monkeypatch.setattr(pc, "pull_back", counted)
     monkeypatch.setattr(pc._Group, "pull", counted_group)
     for family in ("mlp", "rnn", "conv1d"):
         g, params = build_model(ModelSpec(family, (), "tanh", 0))
@@ -818,6 +841,8 @@ def test_later_steps_pull_only_vertices_with_an_internal_child(monkeypatch):
         leaf_fed = {v for v in lg.internal_ids
                     if lg.vertices[v].children and not lg.internal_slots[v]}
         assert leaf_fed
+        il_train_step(lg, params, y, LR, 0.1, 1)  # builds the plan
+        spy_on_bound_pulls(monkeypatch, lg, pulled)
         for T in (1, 5, 20):
             del pulled[:]
             il_train_step(lg, params, y, LR, 0.1, T)
@@ -825,3 +850,80 @@ def test_later_steps_pull_only_vertices_with_an_internal_child(monkeypatch):
             assert counts == dict.fromkeys(leaf_fed, 1), (family, T)
             assert set(pulled) == {v for v in lg.internal_ids
                                    if lg.vertices[v].children}
+
+
+# -- locality: one step reads only the blanket ----------------------------
+
+LOCAL_GAMMA = 0.3
+
+
+@functools.cache
+def locality_cases():
+    """(label, graph, params, target): every zoo family as built and
+    levelled, levelled ``rnn(13,4,8)``, the vector and 0-d ladders, and
+    random graphs, so that every kind and the batch paths take part."""
+    cases = []
+    for family in FAMILIES:
+        g, params = build_model(ModelSpec(family, (), "tanh", 0))
+        for form in (g, level(g)[0]):
+            cases.append((family, form, params, target(form, params)))
+    g, params = build_model(ModelSpec("rnn", (13, 4, 8), "tanh", 0))
+    lg, _report = level(g)
+    cases.append(("rnn(13,4,8)", lg, params, target(lg, params)))
+    for scalar in (False, True):
+        cases.append((f"ladder/{scalar}", *ladder(GROUP_MIN, 0, scalar)))
+    for seed in range(12):
+        cases.append((f"random/{seed}", *random_graph(seed)))
+    return tuple(cases)
+
+
+def blanket(g, w):
+    """w, its parents, its internal children and its siblings."""
+    internal = {c for c in g.vertices[w].children if not g.vertices[c].is_leaf}
+    parents = {p for p, _slot in g.parents[w]}
+    siblings = {c for p in parents for c in g.vertices[p].children
+                if not g.vertices[c].is_leaf}
+    return {w} | internal | parents | siblings
+
+
+def one_step(g, params, x):
+    """The region after one step of the step engine from value nodes
+    ``x`` (mu and eps recomputed from them)."""
+    state = pc._with_values(g, x, params, 0)
+    schedule = ZilSchedule(LOCAL_GAMMA, {v: 1 for v in g.leaves})
+    _reads, snapshots = pc.relax_schedule(g, state, LR, schedule, None, True)
+    return snapshots[1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_step_changes_only_the_blanket_of_a_perturbed_vertex(data):
+    """Property 1 of the "local" claim: from a generic state (every
+    value node but the output off its prediction), perturbing one
+    internal vertex w changes the next values only at w's blanket, and
+    a prediction only where a child's value changed."""
+    label, g, params, y = data.draw(st.sampled_from(locality_cases()))
+    start = init_state(g, params, y)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = {v: val if v == g.output else
+         val + rng.uniform(-0.1, 0.1, np.shape(val))
+         for v, val in start.x.items()}
+    w = data.draw(st.sampled_from(g.internal_ids))
+    moved = dict(x)
+    moved[w] = x[w] + rng.uniform(0.2, 0.3, np.shape(x[w]))
+    try:
+        before = one_step(g, start.params, x)
+        after = one_step(g, start.params, moved)
+    except DomainError:  # a sqrt that the noise drove below zero
+        assume(False)
+    near = blanket(g, w)
+    differs = {name: {v for v in g.internal_ids
+                      if not same_bytes(getattr(before, name)[v],
+                                        getattr(after, name)[v])}
+               for name in ("x", "mu", "eps")}
+    assert w in differs["x"], label
+    assert differs["x"] <= near, (label, w)
+    reach = {v for v in g.internal_ids
+             if near.intersection(g.vertices[v].children)}
+    assert differs["mu"] <= reach, (label, w)
+    assert differs["eps"] <= near | reach, (label, w)

@@ -33,6 +33,16 @@ def test_fsum_arrays_componentwise():
     assert out[1] == 0.0
 
 
+def test_fsum_arrays_refuses_terms_of_different_shapes():
+    """Columns are zipped from each term's floats, so terms of other
+    sizes, or of one size but other shapes, are refused up front."""
+    for terms in ([np.zeros(3), np.zeros(4)],
+                  [np.zeros(3), np.zeros(4), np.zeros(4)],
+                  [np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((2, 3))]):
+        with pytest.raises(ValueError):
+            fsum_arrays(terms)
+
+
 def test_fsum_arrays_single_term_is_a_copy():
     a = np.array([1.0, 2.0])
     out = fsum_arrays([a])

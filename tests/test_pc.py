@@ -297,8 +297,8 @@ def test_relaxation_pulls_no_weight_outer_products(monkeypatch):
     rule = fns.KINDS[fns.FnKind.MATVEC]
     weight_pulls = []
 
-    def counting(fn, ins, u, want):
-        back = rule.vjp(fn, ins, u, want)
+    def counting(fn, ins, u, want, out=None):
+        back = rule.vjp(fn, ins, u, want, out)
         if back[0] is not None:
             weight_pulls.append(ins[0].shape)
         return back

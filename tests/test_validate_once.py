@@ -2,10 +2,10 @@
 
 ``ElemFn.check`` (arity, float64 coercion, the kind's shape rule) runs
 on every internal vertex in :func:`autodiff.forward`; after that the
-engines call the bare ``ElemFn.__call__`` and ``ElemFn.vjp``.  The
-oracle here runs ``check`` before every one of those calls and coerces
-every upstream cotangent, as each call did when it validated its own
-inputs.  Under it no check may raise, and every run must give the same
+engines call the bare kind rules, through ``ElemFn.__call__`` and
+``ElemFn.vjp`` or bound in the step engine's plan.  The oracle here
+runs ``check`` before every one of those calls and coerces every
+upstream cotangent, as each call did when it validated its own inputs.  Under it no check may raise, and every run must give the same
 bytes, or the same exception, as without it.
 """
 
@@ -25,21 +25,23 @@ LR = 0.01
 
 
 def checked_everywhere(monkeypatch) -> list[str]:
-    """Patch ``ElemFn`` so that every evaluation and pull validates;
-    the returned list grows by one entry per validated call."""
-    call, vjp = fns.ElemFn.__call__, fns.ElemFn.vjp
+    """Patch every kind's rules so that every evaluation and pull
+    validates, through ``ElemFn`` or bound in a step plan built under
+    the patch; the returned list grows by one entry per validated call,
+    "call" or "vjp", prefixed "bound " where the step engine made it
+    (it alone hands the rules buffers as ``out``)."""
     calls = []
+    for kind, rule in list(fns.KINDS.items()):
+        def checked_forward(fn, ins, out=None, _rule=rule):
+            calls.append("call" if out is None else "bound call")
+            return _rule.forward(fn, fn.check(ins), out)
 
-    def checked_call(self, inputs):
-        calls.append("call")
-        return call(self, self.check(inputs))
+        def checked_vjp(fn, ins, upstream, want, out=None, _rule=rule):
+            calls.append("vjp" if out is None else "bound vjp")
+            return _rule.vjp(fn, fn.check(ins), as_f64(upstream), want, out)
 
-    def checked_vjp(self, inputs, upstream, slots=None):
-        calls.append("vjp")
-        return vjp(self, self.check(inputs), as_f64(upstream), slots)
-
-    monkeypatch.setattr(fns.ElemFn, "__call__", checked_call)
-    monkeypatch.setattr(fns.ElemFn, "vjp", checked_vjp)
+        monkeypatch.setitem(fns.KINDS, kind, rule._replace(
+            forward=checked_forward, vjp=checked_vjp))
     return calls
 
 
@@ -86,8 +88,9 @@ def assert_validated_once(monkeypatch, label, g, params, y):
     bare = [(name, outcome(thunk)) for name, thunk in named]
     with monkeypatch.context() as patch:
         calls = checked_everywhere(patch)
+        patch.setattr(g, "_steps", None)  # the plan binds the checked rules
         checked = [(name, outcome(thunk)) for name, thunk in named]
-    assert {"call", "vjp"} <= set(calls), label
+    assert {"call", "vjp", "bound vjp"} <= set(calls), label
     for (name, want), (_name, got) in zip(bare, checked):
         assert got == want, (label, name)
 
